@@ -63,13 +63,23 @@ impl<K: Hash + Eq + Clone, V> ShardedCache<K, V> {
 
     /// Inserts a value.
     pub fn put(&self, key: K, value: V) -> Arc<V> {
+        self.put_if(key, value, || true)
+    }
+
+    /// Inserts a value only if `admit` returns `true`, evaluated under the
+    /// key's shard lock; returns the value's handle either way. A writer
+    /// racing [`ShardedCache::retain`] uses it: a sweep of the shard either
+    /// runs after the insert (and judges the entry) or before the check
+    /// (whose condition the sweeper changed first), so a rejected entry is
+    /// never resident, not even briefly.
+    pub fn put_if(&self, key: K, value: V, admit: impl FnOnce() -> bool) -> Arc<V> {
         let value = Arc::new(value);
-        let evicted = self
-            .shard_for(&key)
-            .lock()
-            .put(key, Arc::clone(&value))
-            .is_some();
-        self.stats.insert(evicted);
+        let mut shard = self.shard_for(&key).lock();
+        if admit() {
+            let evicted = shard.put(key, Arc::clone(&value)).is_some();
+            drop(shard);
+            self.stats.insert(evicted);
+        }
         value
     }
 
@@ -211,6 +221,17 @@ mod tests {
         assert_eq!(c.stats().invalidations(), 5);
         assert!(c.get(&5).is_none());
         assert!(c.get(&4).is_some());
+    }
+
+    #[test]
+    fn put_if_inserts_only_when_admitted() {
+        let c: ShardedCache<u32, u32> = ShardedCache::new(2, 4);
+        let refused = c.put_if(1, 10, || false);
+        assert_eq!(*refused, 10, "the caller still gets its value");
+        assert!(c.peek(&1).is_none(), "refused value is not resident");
+        let admitted = c.put_if(1, 11, || true);
+        assert!(Arc::ptr_eq(&admitted, &c.peek(&1).unwrap()));
+        assert_eq!(c.len(), 1);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use std::collections::{HashMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard};
 use std::time::Duration;
 
 /// How long a coalesced follower waits on its leader before giving up
@@ -174,6 +174,24 @@ pub struct ExplorationResult {
     /// read sampled aggregates until the background refinement upgrades
     /// the entry.
     pub approx: Option<ApproxInfo>,
+    /// The rendered response body, written once (see
+    /// [`ExplorationResult::rendered_body`]).
+    body: OnceLock<Vec<u8>>,
+}
+
+impl ExplorationResult {
+    /// The rendered response body for this result: `render` runs on the
+    /// first call only, and every later call returns the stored bytes.
+    ///
+    /// The engine never reads the bytes; their format belongs to the
+    /// caller (the HTTP server's explain routes). Storing them is sound
+    /// because a result never changes after it is published: a refinement,
+    /// a dataset swap or an eviction replaces the whole `Arc`'d result,
+    /// and with it the stored body. All callers must therefore pass the
+    /// same rendering of this result.
+    pub fn rendered_body(&self, render: impl FnOnce() -> Vec<u8>) -> &[u8] {
+        self.body.get_or_init(render)
+    }
 }
 
 /// Which serving mechanism answered an explain (see
@@ -368,6 +386,29 @@ impl Drop for ForegroundGuard<'_> {
     }
 }
 
+/// Holds the swap generation ([`EngineInner::swap_gen`]) odd for the span
+/// of a dataset swap and makes it even again on drop — also on unwind, so
+/// a panicking swap can never turn caching off for good.
+struct SwapGuard<'a>(&'a AtomicU64);
+
+impl<'a> SwapGuard<'a> {
+    fn enter(generation: &'a AtomicU64) -> Self {
+        generation.fetch_add(1, Ordering::SeqCst);
+        SwapGuard(generation)
+    }
+}
+
+impl Drop for SwapGuard<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_add(1, Ordering::SeqCst);
+    }
+}
+
+/// A unit-test hook run at named steps (`"swap"`, `"publish"`), so a test
+/// can land a request or a swap at an exact point of another operation.
+#[cfg(test)]
+type Interleave = Arc<dyn Fn(&MapRatEngine, &str) + Send + Sync>;
+
 /// The shared state behind every engine clone.
 ///
 /// The result tier is keyed by the typed request itself: its `Hash`
@@ -391,6 +432,15 @@ struct EngineInner {
     refines: RefineLedger,
     approx_served: AtomicU64,
     approx_fallback: AtomicU64,
+    /// Dataset-swap generation, used as a seqlock: odd while a swap is
+    /// publishing its dataset and sweeping the tiers, even otherwise. A
+    /// solve reads it before it pins a dataset or a cube snapshot, and may
+    /// cache what it produced only while the generation still holds that
+    /// even value ([`MapRatEngine::publish`]), so a result mined from a
+    /// superseded dataset can never land behind a swap's sweep.
+    swap_gen: AtomicU64,
+    #[cfg(test)]
+    interleave: std::sync::Mutex<Option<Interleave>>,
 }
 
 /// An owned, cheaply-clonable exploration engine: `Arc<Dataset>` + miner
@@ -475,6 +525,9 @@ impl MapRatEngine {
                 refines: RefineLedger::new(),
                 approx_served: AtomicU64::new(0),
                 approx_fallback: AtomicU64::new(0),
+                swap_gen: AtomicU64::new(0),
+                #[cfg(test)]
+                interleave: Default::default(),
             }),
         }
     }
@@ -503,6 +556,7 @@ impl MapRatEngine {
     /// In-flight requests finish against the dataset they pinned; new
     /// requests see the new one immediately.
     pub fn swap_dataset(&self, dataset: Arc<Dataset>) {
+        let _swap = SwapGuard::enter(&self.inner.swap_gen);
         *self
             .inner
             .dataset
@@ -533,24 +587,72 @@ impl MapRatEngine {
     /// [`ServedFrom::PreIngestCache`].
     pub fn swap_dataset_scoped(&self, dataset: Arc<Dataset>, changed_items: &[ItemId]) -> usize {
         let changed: HashSet<ItemId> = changed_items.iter().copied().collect();
+        let _swap = SwapGuard::enter(&self.inner.swap_gen);
         *self
             .inner
             .dataset
             .write()
             .unwrap_or_else(PoisonError::into_inner) = dataset;
+        self.interleave("swap");
         let untouched =
             |items: &[ItemId]| -> bool { !items.iter().any(|item| changed.contains(item)) };
         // Census entries are a pure perf memo (each is additionally
         // guarded by an `Arc::ptr_eq` dataset pin at use), but scoped
         // invalidation keeps the tier from serving as a graveyard.
         self.inner.censuses.retain(|_, e| untouched(&e.items));
-        self.inner.results.retain(|_, result| match result {
-            Ok(r) => untouched(&r.items),
-            Err(_) => false,
-        }) + self
+        // Snapshots go before results: a request that lands between the
+        // two sweeps and misses a dropped result must not find the stale
+        // cube to re-solve from.
+        let snapshots = self
             .inner
             .snapshots
-            .retain(|_, snap| untouched(&snap.items))
+            .retain(|_, snap| untouched(&snap.items));
+        self.interleave("swap");
+        snapshots
+            + self.inner.results.retain(|_, result| match result {
+                Ok(r) => untouched(&r.items),
+                Err(_) => false,
+            })
+    }
+
+    /// The current swap generation ([`EngineInner::swap_gen`]). A solve
+    /// reads it before pinning a dataset or snapshot and hands it to
+    /// [`MapRatEngine::publish`].
+    fn swap_generation(&self) -> u64 {
+        self.inner.swap_gen.load(Ordering::SeqCst)
+    }
+
+    /// Caches `value` in `tier` unless a dataset swap was under way when
+    /// `since` was read or has begun since; returns the value's handle
+    /// either way (an uncached answer still serves its own request). The
+    /// generation is checked under the tier's shard lock, so a swap's
+    /// sweep of that shard either runs after the insert and judges the
+    /// entry, or ran after the generation moved and the insert is refused.
+    fn publish<K: Hash + Eq + Clone, V>(
+        &self,
+        tier: &ShardedCache<K, V>,
+        since: u64,
+        key: K,
+        value: V,
+    ) -> Arc<V> {
+        self.interleave("publish");
+        tier.put_if(key, value, || {
+            since.is_multiple_of(2) && self.inner.swap_gen.load(Ordering::SeqCst) == since
+        })
+    }
+
+    /// Runs the unit-test interleaving hook at `point`; a no-op outside
+    /// unit tests.
+    fn interleave(&self, point: &str) {
+        #[cfg(test)]
+        {
+            let hook = self.inner.interleave.lock().unwrap().clone();
+            if let Some(hook) = hook {
+                hook(self, point);
+            }
+        }
+        #[cfg(not(test))]
+        let _ = point;
     }
 
     /// Result-tier telemetry.
@@ -776,6 +878,7 @@ impl MapRatEngine {
             }
         }
 
+        let since = self.swap_generation();
         let dataset = self.dataset();
         // If the policy may answer any of these universes with a sample,
         // the fused exact build would change semantics — route through
@@ -825,7 +928,8 @@ impl MapRatEngine {
                 standalone.extend(group);
                 continue;
             }
-            let leftover = self.solve_fused_group(requests, &group, budget, &dataset, &mut slots);
+            let leftover =
+                self.solve_fused_group(requests, &group, budget, &dataset, since, &mut slots);
             standalone.extend(leftover);
         }
 
@@ -863,6 +967,7 @@ impl MapRatEngine {
         group: &[usize],
         budget: &Budget,
         dataset: &Arc<Dataset>,
+        since: u64,
         slots: &mut [Option<(CachedResult, ServedFrom)>],
     ) -> Vec<usize> {
         let mut leftover: Vec<usize> = Vec::new();
@@ -943,6 +1048,7 @@ impl MapRatEngine {
                         items: items.clone(),
                         dataset: Arc::clone(dataset),
                         approx: None,
+                        body: OnceLock::new(),
                     });
                 (Some(cube), result)
             }));
@@ -967,7 +1073,9 @@ impl MapRatEngine {
                 // The derived cube is bit-identical to a standalone build,
                 // so it is a valid (budget-independent) snapshot — kept
                 // even when the solve itself errored (e.g. on deadline).
-                self.inner.snapshots.put(
+                self.publish(
+                    &self.inner.snapshots,
+                    since,
                     SnapshotKey::of(request),
                     CubeSnapshot {
                         items,
@@ -983,7 +1091,7 @@ impl MapRatEngine {
                     Arc::new(result)
                 }
                 Err(MineError::Internal(_)) => Arc::new(result),
-                _ => self.inner.results.put(request.clone(), result),
+                _ => self.publish(&self.inner.results, since, request.clone(), result),
             };
             slots[i] = Some((cached, ServedFrom::BatchFused));
         }
@@ -1080,13 +1188,14 @@ impl MapRatEngine {
         budget: &Budget,
         mode: ApproxMode,
     ) -> (CachedResult, ServedFrom) {
+        let since = self.swap_generation();
         let key = SnapshotKey::of(request);
         // A panicking solve (bug, or the `solver.panic` chaos site) must
         // not unwind through the flight group and server thread: contain
         // it here and degrade it to a structured internal error.
         let (result, served) = match catch_unwind(AssertUnwindSafe(|| {
             maprat_faults::maybe_panic("solver.panic");
-            self.mine_mode(request, budget, &key, mode)
+            self.mine_mode(request, budget, &key, since, mode)
         })) {
             Ok(pair) => pair,
             Err(payload) => {
@@ -1108,7 +1217,10 @@ impl MapRatEngine {
                 (Arc::new(result), served)
             }
             Err(MineError::Internal(_)) => (Arc::new(result), served),
-            _ => (self.inner.results.put(request.clone(), result), served),
+            _ => (
+                self.publish(&self.inner.results, since, request.clone(), result),
+                served,
+            ),
         }
     }
 
@@ -1120,12 +1232,13 @@ impl MapRatEngine {
         request: &ExplainRequest,
         budget: &Budget,
         key: &SnapshotKey,
+        since: u64,
         mode: ApproxMode,
     ) -> (Result<ExplorationResult, MineError>, ServedFrom) {
         if let Some(pair) = self.mine_approx(request, budget, mode) {
             return pair;
         }
-        self.mine(request, budget, key)
+        self.mine(request, budget, key, since)
     }
 
     /// The approximate miss path: stratified-sample `R_I`, build the cube
@@ -1258,6 +1371,7 @@ impl MapRatEngine {
                     items,
                     dataset: Arc::clone(&dataset),
                     approx: Some(info),
+                    body: OnceLock::new(),
                 }
             });
         Some((result, ServedFrom::Cold))
@@ -1326,6 +1440,7 @@ impl MapRatEngine {
     /// current dataset: a hot-swap or scoped invalidation between solve
     /// and publish must win.
     fn refine_exact(&self, request: &ExplainRequest) -> bool {
+        let since = self.swap_generation();
         let still_approx = || {
             matches!(
                 self.inner.results.peek(request).as_deref(),
@@ -1336,7 +1451,7 @@ impl MapRatEngine {
             return false;
         }
         let key = SnapshotKey::of(request);
-        let (result, _) = self.mine(request, &Budget::unlimited(), &key);
+        let (result, _) = self.mine(request, &Budget::unlimited(), &key, since);
         self.inner.solves.fetch_add(1, Ordering::Relaxed);
         match result {
             Ok(res) => {
@@ -1346,8 +1461,12 @@ impl MapRatEngine {
                 if !still_approx() {
                     return false;
                 }
-                self.inner.results.put(request.clone(), Ok(res));
-                true
+                // A swap racing the publish refuses the upgrade.
+                let exact = self.publish(&self.inner.results, since, request.clone(), Ok(res));
+                self.inner
+                    .results
+                    .peek(request)
+                    .is_some_and(|r| Arc::ptr_eq(&r, &exact))
             }
             Err(_) => false,
         }
@@ -1377,12 +1496,14 @@ impl MapRatEngine {
     }
 
     /// The actual mining work of a miss: snapshot-tier lookup, cube
-    /// build, budgeted solve.
+    /// build, budgeted solve. `since` is the swap generation read before
+    /// the lookup; a freshly built cube is cached only under it.
     fn mine(
         &self,
         request: &ExplainRequest,
         budget: &Budget,
         key: &SnapshotKey,
+        since: u64,
     ) -> (Result<ExplorationResult, MineError>, ServedFrom) {
         match self.inner.snapshots.get(key) {
             Some(snap) => {
@@ -1404,6 +1525,7 @@ impl MapRatEngine {
                         items: snap.items.clone(),
                         dataset: Arc::clone(&snap.dataset),
                         approx: None,
+                        body: OnceLock::new(),
                     });
                 (result, ServedFrom::SnapshotCache)
             }
@@ -1428,7 +1550,9 @@ impl MapRatEngine {
                         Ok((items, cube))
                     })
                     .and_then(|(items, cube)| {
-                        self.inner.snapshots.put(
+                        self.publish(
+                            &self.inner.snapshots,
+                            since,
                             key.clone(),
                             CubeSnapshot {
                                 items: items.clone(),
@@ -1449,6 +1573,7 @@ impl MapRatEngine {
                             items,
                             dataset: Arc::clone(&dataset),
                             approx: None,
+                            body: OnceLock::new(),
                         })
                     });
                 (result, ServedFrom::Cold)
@@ -1756,6 +1881,95 @@ mod tests {
                 "the served result pins the pre-ingest snapshot"
             );
         }
+    }
+
+    /// A commit that changes Toy Story: a copy of each of its ratings at
+    /// the lowest score. Returns the committed dataset and changed items.
+    fn toy_story_commit(engine: &MapRatEngine) -> (Arc<Dataset>, Vec<ItemId>) {
+        let dataset = engine.dataset();
+        let toy = dataset.find_title("Toy Story").expect("planted title");
+        let mut batch = maprat_data::AppendBatch::new();
+        batch.ratings = dataset
+            .ratings_for_item(toy)
+            .iter()
+            .map(|r| maprat_data::Rating {
+                score: maprat_data::Score::MIN,
+                ..*r
+            })
+            .collect();
+        let appended = dataset.with_appended(batch).unwrap();
+        (Arc::new(appended.dataset), appended.changed_items)
+    }
+
+    fn set_interleave(engine: &MapRatEngine, hook: Option<Interleave>) {
+        *engine.inner.interleave.lock().unwrap() = hook;
+    }
+
+    /// The answer `request` gets now must be mined from `dataset`.
+    fn assert_fresh(engine: &MapRatEngine, request: &ExplainRequest, dataset: &Arc<Dataset>) {
+        let (result, served) = engine.explain_traced(request);
+        assert_ne!(served, ServedFrom::PreIngestCache, "stale entry survived");
+        let r = result.as_ref().as_ref().expect("explains");
+        assert!(
+            Arc::ptr_eq(&r.dataset, dataset),
+            "answer ({served}) mined from a superseded dataset"
+        );
+    }
+
+    #[test]
+    fn scoped_swap_never_caches_a_mid_swap_resolve() {
+        // Requests for the changed item land at every step of the swap:
+        // `a` finds its result dropped or not yet dropped, `b` (same
+        // cube, other solver settings) always misses the result tier and
+        // re-solves from whatever the snapshot tier still holds. Neither
+        // may leave a stale entry behind.
+        let engine = engine();
+        let a = ExplainRequest::new(ItemQuery::title("Toy Story"), settings());
+        let b = ExplainRequest::new(ItemQuery::title("Toy Story"), settings().with_max_groups(2));
+        assert!(engine.explain(&a).is_ok(), "caches a's result and the cube");
+        let (fresh, changed) = toy_story_commit(&engine);
+        let (ha, hb) = (a.clone(), b.clone());
+        set_interleave(
+            &engine,
+            Some(Arc::new(move |engine: &MapRatEngine, point: &str| {
+                if point == "swap" {
+                    assert!(engine.explain(&ha).is_ok());
+                    assert!(engine.explain(&hb).is_ok());
+                }
+            })),
+        );
+        engine.swap_dataset_scoped(Arc::clone(&fresh), &changed);
+        set_interleave(&engine, None);
+        assert_fresh(&engine, &a, &fresh);
+        assert_fresh(&engine, &b, &fresh);
+    }
+
+    #[test]
+    fn solve_racing_a_scoped_swap_is_not_cached() {
+        // The commit publishes while a cold solve is in flight: after its
+        // cube build, before its first cache insert. The solve still
+        // answers its own request, but caches neither its cube nor its
+        // result.
+        let engine = engine();
+        let a = ExplainRequest::new(ItemQuery::title("Toy Story"), settings());
+        let (fresh, changed) = toy_story_commit(&engine);
+        let commit = Arc::clone(&fresh);
+        let fired = std::sync::atomic::AtomicBool::new(false);
+        set_interleave(
+            &engine,
+            Some(Arc::new(move |engine: &MapRatEngine, point: &str| {
+                if point == "publish" && !fired.swap(true, Ordering::SeqCst) {
+                    engine.swap_dataset_scoped(Arc::clone(&commit), &changed);
+                }
+            })),
+        );
+        let (first, served) = engine.explain_traced(&a);
+        set_interleave(&engine, None);
+        assert_eq!(served, ServedFrom::Cold);
+        assert!(first.is_ok(), "the racing solve still answers");
+        let (_, served) = engine.explain_traced(&a);
+        assert_eq!(served, ServedFrom::Cold, "no stale result or cube cached");
+        assert_fresh(&engine, &a, &fresh);
     }
 
     #[test]

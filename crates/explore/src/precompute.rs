@@ -123,11 +123,17 @@ impl PrecomputeScheduler {
     /// maximise. Cheap enough to call on every explain route hit.
     pub fn record(&self, request: &ExplainRequest) {
         let mut popularity = lock(&self.inner.popularity);
-        if popularity.len() >= MAX_TRACKED && !popularity.contains_key(request) {
+        // A repeat bumps its count in place; only a first sighting pays
+        // for a clone of the request.
+        if let Some(count) = popularity.get_mut(request) {
+            *count += 1;
+            return;
+        }
+        if popularity.len() >= MAX_TRACKED {
             // Prune the cold half rather than grow without bound.
             popularity.retain(|_, count| *count > 1);
         }
-        *popularity.entry(request.clone()).or_insert(0) += 1;
+        popularity.insert(request.clone(), 1);
     }
 
     /// Runs one warm pass synchronously on the calling thread (the
@@ -314,5 +320,36 @@ mod tests {
             scheduler.record(&request(&format!("Movie {i}")));
         }
         assert!(lock(&scheduler.inner.popularity).len() <= MAX_TRACKED + 1);
+    }
+
+    #[test]
+    fn record_counts_every_sighting_and_prunes_singletons_when_full() {
+        let engine = engine();
+        let scheduler = PrecomputeScheduler::start_with(engine, 0, Duration::from_secs(3600));
+        let count = |title: &str| {
+            lock(&scheduler.inner.popularity)
+                .get(&request(title))
+                .copied()
+        };
+        for _ in 0..3 {
+            scheduler.record(&request("Toy Story"));
+        }
+        scheduler.record(&request("Jaws"));
+        assert_eq!(count("Toy Story"), Some(3));
+        assert_eq!(count("Jaws"), Some(1));
+        // Fill the table: repeats of tracked requests never prune it.
+        for i in 0..(MAX_TRACKED - 2) {
+            scheduler.record(&request(&format!("Movie {i}")));
+        }
+        scheduler.record(&request("Jaws"));
+        assert_eq!(lock(&scheduler.inner.popularity).len(), MAX_TRACKED);
+        assert_eq!(count("Jaws"), Some(2));
+        // A newcomer into the full table drops every singleton first.
+        scheduler.record(&request("Fargo"));
+        let table = lock(&scheduler.inner.popularity).clone();
+        assert_eq!(table.len(), 3, "{:?}", table.values());
+        assert_eq!(count("Toy Story"), Some(3));
+        assert_eq!(count("Jaws"), Some(2));
+        assert_eq!(count("Fargo"), Some(1));
     }
 }

@@ -84,10 +84,16 @@ pub struct Response {
 impl Response {
     /// 200 with a JSON body.
     pub fn json(body: String) -> Response {
+        Response::json_bytes(body.into_bytes())
+    }
+
+    /// 200 with a JSON body that is already UTF-8 bytes (e.g. a stored
+    /// rendering).
+    pub fn json_bytes(body: Vec<u8>) -> Response {
         Response {
             status: 200,
             content_type: "application/json; charset=utf-8",
-            body: body.into_bytes(),
+            body,
             headers: Vec::new(),
         }
     }

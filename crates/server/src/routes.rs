@@ -147,16 +147,7 @@ impl AppState {
         }
         let (result, served) = self.engine.explain_opts(&request, &budget, mode);
         let response = match &*result {
-            Ok(r) => {
-                let mut body = ExplainResponse::from_explanation(&r.explanation);
-                // A sampled answer carries its error contract; the header
-                // (hit-approx) and this block disappear together once the
-                // background refinement upgrades the cache entry.
-                if let Some(info) = &r.approx {
-                    body = body.with_approx(info);
-                }
-                Response::json(body.to_json().render())
-            }
+            Ok(r) => Response::json_bytes(explain_body(r).to_vec()),
             Err(e) => ApiError::from_mine(e).into_response(),
         };
         response.with_header("X-MapRat-Cache", served.as_str())
@@ -194,24 +185,30 @@ impl AppState {
                 .with_header("Retry-After", "1");
         }
         let outcomes = self.engine.explain_batch(&requests, &budget);
-        let results: Vec<Json> = outcomes
-            .iter()
-            .map(|(result, served)| {
-                let cache = ("cache", Json::str(served.as_str().to_string()));
-                match &**result {
-                    Ok(r) => {
-                        let mut body = ExplainResponse::from_explanation(&r.explanation);
-                        if let Some(info) = &r.approx {
-                            body = body.with_approx(info);
-                        }
-                        Json::obj([cache, ("result", body.to_json())])
-                    }
-                    Err(e) => Json::obj([cache, ("error", ApiError::from_mine(e).to_json())]),
+        // Spliced by hand around each member's stored body; the bytes are
+        // what rendering `{"results":[{"cache":…,"result"|"error":…}]}` as
+        // a `Json` tree gives (object keys sorted: cache < error < result).
+        let mut body = br#"{"results":["#.to_vec();
+        for (i, (result, served)) in outcomes.iter().enumerate() {
+            if i > 0 {
+                body.push(b',');
+            }
+            body.extend_from_slice(br#"{"cache":"#);
+            body.extend_from_slice(Json::str(served.as_str()).render().as_bytes());
+            match &**result {
+                Ok(r) => {
+                    body.extend_from_slice(br#","result":"#);
+                    body.extend_from_slice(explain_body(r));
                 }
-            })
-            .collect();
-        Response::json(Json::obj([("results", Json::Arr(results))]).render())
-            .with_header("X-MapRat-Cache", "batch")
+                Err(e) => {
+                    body.extend_from_slice(br#","error":"#);
+                    body.extend_from_slice(ApiError::from_mine(e).to_json().render().as_bytes());
+                }
+            }
+            body.push(b'}');
+        }
+        body.extend_from_slice(b"]}");
+        Response::json_bytes(body).with_header("X-MapRat-Cache", "batch")
     }
 
     /// `POST /api/v1/ingest` — commits a batch of live ratings: validates
@@ -541,6 +538,21 @@ impl AppState {
             .render(),
         )
     }
+}
+
+/// The explain route's body for `result`: rendered on the first call and
+/// stored in the result, so every later hit on the same cached result
+/// serves those bytes. A sampled answer carries its error contract; the
+/// `hit-approx` header and this block disappear together once the
+/// background refinement replaces the cached result with the exact one.
+fn explain_body(result: &ExplorationResult) -> &[u8] {
+    result.rendered_body(|| {
+        let mut body = ExplainResponse::from_explanation(&result.explanation);
+        if let Some(info) = &result.approx {
+            body = body.with_approx(info);
+        }
+        body.to_json().render().into_bytes()
+    })
 }
 
 /// Decodes the optional `X-MapRat-Deadline-Ms` request header into a
@@ -1360,11 +1372,20 @@ mod tests {
     /// engine would fall back to exact; `tiny(111)` has multi-member
     /// strata and samples genuinely partially.
     fn approx_server() -> HttpServer {
+        HttpServer::start(
+            "127.0.0.1:0",
+            2,
+            AppState::new(approx_engine()).into_handler(),
+        )
+        .unwrap()
+    }
+
+    fn approx_engine() -> MapRatEngine {
         static DATASET: OnceLock<Arc<Dataset>> = OnceLock::new();
         let dataset = Arc::clone(
             DATASET.get_or_init(|| Arc::new(generate(&SynthConfig::tiny(111)).unwrap())),
         );
-        let engine = MapRatEngine::with_approx_policy(
+        MapRatEngine::with_approx_policy(
             dataset,
             maprat_explore::ApproxPolicy {
                 enabled: true,
@@ -1372,8 +1393,7 @@ mod tests {
                 min_ratings: usize::MAX,
                 refine: false,
             },
-        );
-        HttpServer::start("127.0.0.1:0", 2, AppState::new(engine).into_handler()).unwrap()
+        )
     }
 
     #[test]
@@ -1496,5 +1516,165 @@ mod tests {
 
         drop(s);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A request as the HTTP layer decodes it, for driving
+    /// `AppState::dispatch` without a socket.
+    fn decoded(method: &str, path: &str, query: &[(&str, &str)], body: &str) -> Request {
+        Request {
+            method: method.to_string(),
+            path: path.to_string(),
+            query: query
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            headers: Default::default(),
+            body: body.as_bytes().to_vec(),
+            keep_alive: false,
+        }
+    }
+
+    fn explain_get(title: &str, extra: &[(&str, &str)]) -> Request {
+        let mut query = vec![("q", title), ("coverage", "0.1"), ("geo", "0")];
+        query.extend_from_slice(extra);
+        decoded("GET", "/api/v1/explain", &query, "")
+    }
+
+    fn served_from(response: &Response) -> Option<&str> {
+        response
+            .headers
+            .iter()
+            .find(|(name, _)| *name == "X-MapRat-Cache")
+            .map(|(_, value)| value.as_str())
+    }
+
+    /// What the explain route rendered for every answer before bodies were
+    /// stored: a fresh DTO tree.
+    fn fresh_body(r: &ExplorationResult) -> Json {
+        let mut body = ExplainResponse::from_explanation(&r.explanation);
+        if let Some(info) = &r.approx {
+            body = body.with_approx(info);
+        }
+        body.to_json()
+    }
+
+    /// The stored body of the result the engine now holds for `req`,
+    /// checked against a fresh render and for being stored, not re-rendered.
+    fn stored_body(state: &AppState, req: &Request) -> Vec<u8> {
+        let (request, mode) = api::explain_request_opts(req).unwrap();
+        let (result, _) = state
+            .engine()
+            .explain_opts(&request, &Budget::unlimited(), mode);
+        let r = result.as_ref().as_ref().unwrap();
+        let stored = explain_body(r);
+        assert_eq!(stored, fresh_body(r).render().as_bytes());
+        assert!(std::ptr::eq(stored, explain_body(r)), "served as stored");
+        stored.to_vec()
+    }
+
+    #[test]
+    fn stored_body_of_an_exact_result_is_the_fresh_render() {
+        let state = AppState::new(MapRatEngine::new(shared_dataset()));
+        let req = explain_get("Toy Story", &[]);
+        let miss = state.dispatch(&req);
+        let hit = state.dispatch(&req);
+        assert_eq!(served_from(&miss), Some("miss"));
+        assert_eq!(served_from(&hit), Some("hit"));
+        let stored = stored_body(&state, &req);
+        assert_eq!(miss.body, stored);
+        assert_eq!(hit.body, stored);
+    }
+
+    #[test]
+    fn stored_body_drops_the_approx_block_once_refined() {
+        let state = AppState::new(approx_engine());
+        let req = explain_get("Toy Story", &[("approx", "force")]);
+        let sampled = state.dispatch(&req);
+        assert_eq!(served_from(&sampled), Some("miss"));
+        let stored = stored_body(&state, &req);
+        assert_eq!(sampled.body, stored);
+        assert!(String::from_utf8_lossy(&stored).contains(r#""approx":{"#));
+        let hit = state.dispatch(&req);
+        assert_eq!(served_from(&hit), Some("hit-approx"));
+        assert_eq!(hit.body, stored);
+
+        let (request, _) = api::explain_request_opts(&req).unwrap();
+        assert!(state.engine().refine_now(&request), "upgrade landed");
+        let exact = state.dispatch(&req);
+        assert_eq!(served_from(&exact), Some("hit"));
+        assert_eq!(exact.body, stored_body(&state, &req));
+        assert!(!String::from_utf8_lossy(&exact.body).contains(r#""approx""#));
+    }
+
+    #[test]
+    fn scoped_commit_gives_a_changed_item_a_new_body() {
+        let engine = MapRatEngine::from_dataset(generate(&SynthConfig::tiny(171)).unwrap());
+        let service = Arc::new(maprat_ingest::IngestService::new(engine.clone()));
+        let state = AppState::new(engine).with_ingest(service);
+        let req = explain_get("Toy Story", &[]);
+        let before = state.dispatch(&req);
+        assert_eq!(before.body, stored_body(&state, &req));
+        // INGEST_BODY adds a Toy Story rating.
+        let commit = state.dispatch(&decoded("POST", "/api/v1/ingest", &[], INGEST_BODY));
+        assert_eq!(commit.status, 200);
+        let after = state.dispatch(&req);
+        assert_eq!(served_from(&after), Some("miss"));
+        assert_eq!(after.body, stored_body(&state, &req));
+        assert_ne!(after.body, before.body, "the commit changes the answer");
+    }
+
+    #[test]
+    fn batch_body_splices_stored_bodies_byte_identically() {
+        let state = AppState::new(MapRatEngine::new(shared_dataset()));
+        let titles = ["Jaws", "Toy Story", "Forrest Gump", "No Such Movie"];
+        // Jaws answers the batch from the result tier, the next two fuse,
+        // the last is an error slot.
+        let _ = state.dispatch(&explain_get(titles[0], &[]));
+        let members: Vec<String> = titles.iter().map(|t| batch_member(t)).collect();
+        let batch = decoded(
+            "POST",
+            "/api/v1/explain/batch",
+            &[],
+            &format!(r#"{{"requests":[{}]}}"#, members.join(",")),
+        );
+        let reply = state.dispatch(&batch);
+        assert_eq!(reply.status, 200);
+        assert_eq!(served_from(&reply), Some("batch"));
+        let text = String::from_utf8(reply.body.clone()).unwrap();
+        let parsed = Json::parse(&text).unwrap();
+        let labels: Vec<String> = (0..titles.len())
+            .map(|i| {
+                let slot = parsed.get("results").unwrap().at(i).unwrap();
+                slot.get("cache").unwrap().as_str().unwrap().to_string()
+            })
+            .collect();
+        assert_eq!(&labels[..3], ["hit", "batch", "batch"], "{text}");
+
+        // The whole body is what rendering the slots as a `Json` tree gives.
+        let requests = api::explain_batch_request(&batch).unwrap();
+        let slots: Vec<Json> = requests
+            .iter()
+            .zip(&labels)
+            .map(|(request, label)| {
+                let cache = ("cache", Json::str(label.as_str()));
+                match &*state.engine().explain(request) {
+                    Ok(r) => Json::obj([cache, ("result", fresh_body(r))]),
+                    Err(e) => Json::obj([cache, ("error", ApiError::from_mine(e).to_json())]),
+                }
+            })
+            .collect();
+        assert_eq!(text, Json::obj([("results", Json::Arr(slots))]).render());
+
+        // Each result slot holds exactly the single route's bytes.
+        for (title, label) in titles.iter().zip(&labels).take(3) {
+            let single = state.dispatch(&explain_get(title, &[]));
+            let single = String::from_utf8(single.body).unwrap();
+            let slot = format!(r#"{{"cache":"{label}","result":{single}}}"#);
+            assert!(
+                text.contains(&slot),
+                "{title} slot differs from the single route"
+            );
+        }
+        assert!(text.contains(r#""error":{"#), "{text}");
     }
 }

@@ -1,5 +1,6 @@
 //! Criterion bench: RHE solve cost per task and candidate-pool size
-//! (EXT-QUALITY / EXT-SCALING companion).
+//! (EXT-QUALITY / EXT-SCALING companion), plus one coverage target high
+//! enough that the climbs spend most steps in the infeasible phase.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use maprat_bench::dataset;
@@ -14,10 +15,11 @@ fn bench_rhe(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("rhe_solve");
     group.sample_size(10);
-    for (label, min_support, max_arity) in [
-        ("pool_s", 40usize, 1usize),
-        ("pool_m", 10, 2),
-        ("pool_l", 5, 3),
+    for (label, min_support, max_arity, alpha) in [
+        ("pool_s", 40usize, 1usize, 0.15),
+        ("pool_m", 10, 2, 0.15),
+        ("pool_l", 5, 3, 0.15),
+        ("pool_l_alpha40", 5, 3, 0.4),
     ] {
         let cube = RatingCube::build(
             d,
@@ -28,7 +30,7 @@ fn bench_rhe(c: &mut Criterion) {
                 max_arity,
             },
         );
-        let problem = MiningProblem::new(&cube, 3, 0.15, 0.5);
+        let problem = MiningProblem::new(&cube, 3, alpha, 0.5);
         let params = RheParams::default();
         for task in Task::ALL {
             group.bench_with_input(

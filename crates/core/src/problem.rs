@@ -40,7 +40,7 @@ impl Task {
 /// A mining problem instance: candidate pool + constraints.
 ///
 /// Construction precomputes per-candidate scalars (support, mean, mean
-/// absolute deviation) and the descending-support prefix sums, so the
+/// absolute deviation) and the descending-support candidate order, so the
 /// solver's inner loops and [`max_achievable_coverage`] never re-derive
 /// them from the cube's aggregates.
 ///
@@ -63,8 +63,12 @@ pub struct MiningProblem<'a> {
     pub(crate) cand_mad: Vec<f64>,
     /// Per-candidate mean rating.
     pub(crate) cand_mean: Vec<f64>,
-    /// `support_prefix[j]` = sum of the `j` largest candidate supports.
-    support_prefix: Vec<usize>,
+    /// Candidate indexes by descending support, ties by ascending index:
+    /// the candidates with support `≥ s` are a prefix of this order (see
+    /// [`MiningProblem::support_at_least`]).
+    support_order: Vec<u32>,
+    /// `sorted_support[j]` = support of `support_order[j]` (descending).
+    sorted_support: Vec<u32>,
     /// Sparse cover word entries, all candidates concatenated: candidate
     /// `i` owns `word_idx/word_bits[word_offsets[i]..word_offsets[i+1]]`
     /// — only its covers' *non-zero* blocks. Coverage probes intersect
@@ -92,13 +96,17 @@ impl<'a> MiningProblem<'a> {
             .iter()
             .map(|g| g.stats.mean().unwrap_or(0.0))
             .collect();
-        let mut supports: Vec<usize> = groups.iter().map(|g| g.support()).collect();
-        supports.sort_unstable_by_key(|&s| std::cmp::Reverse(s));
-        let mut support_prefix = Vec::with_capacity(supports.len() + 1);
-        support_prefix.push(0);
-        for s in supports {
-            support_prefix.push(support_prefix.last().expect("non-empty prefix") + s);
-        }
+        // One plain integer sort: the key packs the complemented support
+        // (so larger supports sort first) above the candidate index (so
+        // ties keep ascending index order).
+        let mut keys: Vec<u64> = cand_support
+            .iter()
+            .enumerate()
+            .map(|(i, &s)| (u64::from(!s) << 32) | i as u64)
+            .collect();
+        keys.sort_unstable();
+        let support_order: Vec<u32> = keys.iter().map(|&key| key as u32).collect();
+        let sorted_support: Vec<u32> = keys.iter().map(|&key| !((key >> 32) as u32)).collect();
         let mut word_idx: Vec<u32> = Vec::new();
         let mut word_bits: Vec<u64> = Vec::new();
         let mut word_offsets: Vec<u32> = Vec::with_capacity(groups.len() + 1);
@@ -119,7 +127,8 @@ impl<'a> MiningProblem<'a> {
             cand_support,
             cand_mad,
             cand_mean,
-            support_prefix,
+            support_order,
+            sorted_support,
             word_idx,
             word_bits,
             word_offsets,
@@ -150,6 +159,18 @@ impl<'a> MiningProblem<'a> {
             missing += (bits & !unsafe { *base.get_unchecked(w as usize) }).count_ones() as usize;
         }
         missing
+    }
+
+    /// The candidates whose support is at least `min_support`, by
+    /// descending support and then ascending index — one binary search
+    /// over the presorted order, so a bound-gated scan visits only the
+    /// candidates that pass its gate.
+    #[inline]
+    pub(crate) fn support_at_least(&self, min_support: usize) -> &[u32] {
+        let len = self
+            .sorted_support
+            .partition_point(|&s| s as usize >= min_support);
+        &self.support_order[..len]
     }
 
     /// Precomputed `(count, mean absolute deviation, mean)` of candidate
@@ -301,13 +322,16 @@ impl<'a> MiningProblem<'a> {
     /// unachievable, in which case the solver reports
     /// `meets_coverage = false` on its best effort.
     ///
-    /// `O(1)`: the descending-support prefix sums are computed once at
-    /// construction instead of cloning and sorting the pool per call.
+    /// `O(k)`: the supports are sorted once at construction instead of
+    /// cloning and sorting the pool per call.
     pub fn max_achievable_coverage(&self) -> f64 {
         if self.cube.universe() == 0 {
             return 0.0;
         }
-        let top = self.support_prefix[self.selection_size()];
+        let top: usize = self.sorted_support[..self.selection_size()]
+            .iter()
+            .map(|&s| s as usize)
+            .sum();
         (top as f64 / self.cube.universe() as f64).min(1.0)
     }
 }

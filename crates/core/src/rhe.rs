@@ -12,6 +12,12 @@
 //! * the neighbour scan runs on the incremental [`SelectionEval`] — one
 //!   probe costs `O(k + universe/64)` with zero heap allocation, instead
 //!   of a full objective/coverage recompute per candidate;
+//! * while a climb is still short of the coverage target, the scan visits
+//!   only the candidates whose support can lift coverage at all: those
+//!   are a prefix of the problem's support-ordered candidate list (one
+//!   binary search per slot), so the candidates the bound rules out —
+//!   most of the pool on a typical step — are never touched. A scan-position tie-break keeps the chosen
+//!   move identical to an index-order scan (see [`best_move`]);
 //! * restarts are embarrassingly parallel and fan out over the shared
 //!   worker pool (up to [`parallel::num_threads`] workers; no per-solve
 //!   OS-thread spawn). Every restart derives its own RNG from
@@ -380,15 +386,36 @@ fn repair_coverage(
 
 /// Scans the neighbourhood — swap one member, drop one member, or add one
 /// candidate (respecting `|S| ≤ k`) — and returns the best feasible
-/// strictly improving move, if any. Every probe is allocation-free.
+/// strictly improving move, if any, with its objective; every candidate
+/// whose objective is computed adds one to `evaluations`. Every probe is
+/// allocation-free. Public only so the differential test in
+/// `tests/prop_best_move.rs` can compare it with an index-order scan.
+///
+/// The result is defined as if the scan ran in index order — slot-major
+/// over swaps (`pos`, then candidate index), then adds by candidate
+/// index — keeping the first move of maximal objective among the
+/// accepted ones.
 ///
 /// Once the climb is feasible, coverage is only a *constraint*: a probe
 /// needs no exact union count when a monotone lower bound (the rest-union
 /// of the other members for swaps, the current union for adds) already
 /// proves feasibility, which collapses the scan to `O(1)`–`O(k)` scalar
-/// work for the vast majority of candidates. While still infeasible, the
-/// climb compares exact coverage to make progress, as before.
-fn best_move(
+/// work for the vast majority of candidates.
+///
+/// While still infeasible, the climb compares exact coverage to make
+/// progress. A candidate can only improve a slot if `base + support`
+/// beats the current coverage (`base` = the slot's rest-union count, or
+/// the current union for adds), and those candidates are exactly a
+/// prefix of [`MiningProblem`]'s descending-support order, so the scan
+/// visits that prefix alone. Visiting it out of index order cannot
+/// change the answer: a candidate becomes the record when its objective
+/// is strictly greater, or equal at an earlier scan position, so the
+/// final record is the accepted move of maximal objective that comes
+/// first in index order — the same move the index-order scan keeps. The
+/// prefix holds exactly the candidates the bound lets through, so the
+/// evaluation count is unchanged too.
+#[doc(hidden)]
+pub fn best_move(
     problem: &MiningProblem<'_>,
     task: Task,
     eval: &mut SelectionEval<'_, '_>,
@@ -505,61 +532,61 @@ fn best_move(
     // it reaches feasibility or strictly raises coverage; drops (whose
     // union can only shrink) are never improving, and a swap or add
     // whose disjoint-union *upper* bound — the other members' rest count
-    // plus the candidate's support — cannot beat the current coverage is
-    // skipped before any bitmap work.
+    // plus the candidate's support — cannot beat the current coverage can
+    // never improve.
     //
     // `x ≥ beats_min  ⟺  x/universe > current_cov + 1e-12` (the strict
     // complement of the old `upper <= current_cov + 1e-12` skip).
     let beats_min = int_threshold(current_cov * universe, &|x| {
         x as f64 / universe > current_cov + 1e-12
     });
-    // Objective first, as in the feasible phase: only objective
-    // record-breakers pay for an exact coverage probe (accepting requires
-    // improving ∧ better, a conjunction — same move either order).
-    let consider_improving = |mv: Move,
-                              eval: &mut SelectionEval<'_, '_>,
-                              evaluations: &mut usize,
-                              best: &mut Option<(Move, f64)>| {
-        *evaluations += 1;
-        let obj = eval.probe_objective(task, mv);
-        let better = match best {
-            None => true,
-            Some((_, best_obj)) => obj > *best_obj,
+    // Most candidates fail that bound, so the scan never visits them:
+    // the candidates with `base + support ≥ beats_min` are a prefix of
+    // the problem's support order, found by one binary search per slot.
+    // That order is not index order, so a record needs a tie-break:
+    // among improving moves of maximal objective, the one earliest in
+    // the index-order scan (slot-major, then candidate index, adds last)
+    // wins — `key` is that scan position.
+    let mut best_key = (usize::MAX, usize::MAX);
+    for slot in 0..=k {
+        let base = if slot < k {
+            eval.probe_covered(Move::Drop { pos: slot })
+        } else if k < problem.max_groups {
+            eval.covered_count()
+        } else {
+            break;
         };
-        if better {
-            let cov_count = eval.probe_covered(mv);
-            if cov_count >= target_min || cov_count >= beats_min {
-                *best = Some((mv, obj));
-            }
-        }
-    };
-
-    let supports = &problem.cand_support;
-    for pos in 0..k {
-        let rest_count = eval.probe_covered(Move::Drop { pos });
-        for (candidate, &support) in supports.iter().enumerate() {
+        for &candidate in problem.support_at_least(beats_min.saturating_sub(base)) {
+            let candidate = candidate as usize;
             if eval.contains(candidate) {
                 continue;
             }
-            if rest_count + (support as usize) < beats_min {
-                continue;
+            let mv = if slot < k {
+                Move::Swap {
+                    pos: slot,
+                    candidate,
+                }
+            } else {
+                Move::Add { candidate }
+            };
+            // Objective first, as in the feasible phase: only record
+            // contenders pay for an exact coverage probe (accepting
+            // requires improving ∧ better, a conjunction — same move
+            // either order).
+            *evaluations += 1;
+            let obj = eval.probe_objective(task, mv);
+            let key = (slot, candidate);
+            let better = match best {
+                None => true,
+                Some((_, best_obj)) => obj > best_obj || (obj == best_obj && key < best_key),
+            };
+            if better {
+                let cov_count = eval.probe_covered(mv);
+                if cov_count >= target_min || cov_count >= beats_min {
+                    best = Some((mv, obj));
+                    best_key = key;
+                }
             }
-            let mv = Move::Swap { pos, candidate };
-            consider_improving(mv, eval, evaluations, &mut best);
-        }
-    }
-    // Add moves.
-    if k < problem.max_groups {
-        let covered = eval.covered_count();
-        for (candidate, &support) in supports.iter().enumerate() {
-            if eval.contains(candidate) {
-                continue;
-            }
-            if covered + (support as usize) < beats_min {
-                continue;
-            }
-            let mv = Move::Add { candidate };
-            consider_improving(mv, eval, evaluations, &mut best);
         }
     }
 

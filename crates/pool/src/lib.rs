@@ -26,7 +26,9 @@
 //!
 //! `map_indexed` publishes a per-call *index dispenser* (an atomic
 //! counter) and sends up to `max_workers - 1` help tickets into the
-//! channel; idle workers that pop a ticket join the drain. Crucially the
+//! channel — never more than there are idle workers, so tickets cannot
+//! pile up while long jobs (keep-alive connections, say) hold every
+//! worker; idle workers that pop a ticket join the drain. Crucially the
 //! **submitter drains its own dispenser too** (help-first): the call
 //! completes even when every pool worker is busy with other work, so a
 //! scoped fan-out can never deadlock behind queued jobs, and under heavy
@@ -160,6 +162,11 @@ enum Job {
 pub struct WorkerPool {
     job_tx: Sender<Job>,
     workers: usize,
+    /// Workers currently blocked waiting for a job. A scheduling hint
+    /// only: it caps the help tickets a fan-out sends, and publishes no
+    /// other data (`Relaxed` throughout), because the submitter's
+    /// help-first drain completes the call whatever helpers join.
+    idle: Arc<AtomicUsize>,
 }
 
 /// The process-wide pool, created on first use with
@@ -176,11 +183,17 @@ impl WorkerPool {
     pub fn with_workers(workers: usize) -> WorkerPool {
         let workers = workers.max(1);
         let (job_tx, job_rx) = unbounded::<Job>();
+        let idle = Arc::new(AtomicUsize::new(0));
         for _ in 0..workers {
             let rx = job_rx.clone();
-            std::thread::spawn(move || worker_loop(rx));
+            let idle = Arc::clone(&idle);
+            std::thread::spawn(move || worker_loop(rx, &idle));
         }
-        WorkerPool { job_tx, workers }
+        WorkerPool {
+            job_tx,
+            workers,
+            idle,
+        }
     }
 
     /// The number of worker threads.
@@ -196,7 +209,8 @@ impl WorkerPool {
 
     /// Maps `f` over `0..n` with up to `max_workers` threads working
     /// concurrently (the submitter plus at most `max_workers - 1` pool
-    /// helpers) and returns the results in index order.
+    /// helpers, and no more helpers than workers are idle at the call)
+    /// and returns the results in index order.
     ///
     /// Runs inline when `max_workers <= 1`, when `n <= 1`, or when called
     /// from inside another fan-out item ([`in_fan_out`]). Blocks until
@@ -231,11 +245,13 @@ impl WorkerPool {
             ctx: &ctx as *const CallCtx<T, F> as *const (),
         });
 
-        // Invite idle workers. Tickets beyond the pool size could never
-        // add concurrency, so don't queue them; a stale ticket popped
-        // after the call completed is a cheap no-op (the dispenser is
-        // exhausted and the borrowed context is never touched).
-        let helpers = (max_workers - 1).min(self.workers);
+        // Invite idle workers only. A ticket no idle worker can take
+        // adds no concurrency — the submitter drains the call first — and
+        // would sit in the unbounded channel until a busy worker frees
+        // up; a stale ticket popped after the call completed is a cheap
+        // no-op (the dispenser is exhausted and the borrowed context is
+        // never touched).
+        let helpers = (max_workers - 1).min(self.idle.load(Ordering::Relaxed));
         for _ in 0..helpers {
             let _ = self.job_tx.send(Job::Help(Arc::clone(&core)));
         }
@@ -269,8 +285,14 @@ impl WorkerPool {
     }
 }
 
-fn worker_loop(rx: Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
+fn worker_loop(rx: Receiver<Job>, idle: &AtomicUsize) {
+    loop {
+        idle.fetch_add(1, Ordering::Relaxed);
+        let job = rx.recv();
+        idle.fetch_sub(1, Ordering::Relaxed);
+        let Ok(job) = job else {
+            return;
+        };
         // Chaos harness: a "slow worker" (GC pause, noisy neighbor,
         // overcommitted core) stalls before picking up its job. Inert
         // unless a `MAPRAT_FAULTS` schedule arms the site.
@@ -523,6 +545,45 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
+    }
+
+    #[test]
+    fn fan_outs_queue_no_tickets_while_every_worker_is_busy() {
+        let workers = 2;
+        let p = WorkerPool::with_workers(workers);
+        // Pin every worker on a job that blocks until released.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let release = Arc::new((Mutex::new(false), Condvar::new()));
+        for _ in 0..workers {
+            let started_tx = started_tx.clone();
+            let release = Arc::clone(&release);
+            p.spawn(move || {
+                started_tx.send(()).unwrap();
+                let (lock, cvar) = &*release;
+                let mut go = lock.lock().unwrap();
+                while !*go {
+                    go = cvar.wait(go).unwrap();
+                }
+            });
+        }
+        for _ in 0..workers {
+            started_rx.recv().unwrap();
+        }
+        let mut max_queued = 0;
+        for round in 0..10_000 {
+            let out = p.map_indexed(3, workers + 1, |i| round + i);
+            assert_eq!(out, vec![round, round + 1, round + 2]);
+            max_queued = max_queued.max(p.job_tx.len());
+        }
+        assert!(
+            max_queued <= workers,
+            "{max_queued} help tickets queued behind {workers} pinned workers"
+        );
+        let (lock, cvar) = &*release;
+        *lock.lock().unwrap() = true;
+        cvar.notify_all();
+        // Released workers serve fan-outs again.
+        assert_eq!(p.map_indexed(40, workers + 1, |i| i)[39], 39);
     }
 
     #[test]

@@ -114,6 +114,16 @@ fn with_capacity<T>(capacity: usize) -> (Sender<T>, Receiver<T>) {
 }
 
 impl<T> Sender<T> {
+    /// The number of messages currently queued.
+    pub fn len(&self) -> usize {
+        self.shared.queue.lock().expect("channel lock").len()
+    }
+
+    /// Whether no message is currently queued.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
     /// Blocks until the message is enqueued or every receiver is gone.
     pub fn send(&self, value: T) -> Result<(), SendError<T>> {
         let shared = &*self.shared;

@@ -178,7 +178,7 @@ fn check_universe(a: usize, b: usize) {
 ///
 /// The cube builder materializes every dense cover of a cuboid into
 /// **one** flat allocation (thousands of 2 KiB covers otherwise cost more
-/// in `malloc` traffic than the whole counting pass) and hands each
+/// in `malloc` traffic than the whole profile scan) and hands each
 /// candidate a `Shared` window into it; covers below the density
 /// threshold get a `Sparse` window of the cuboid's entry store instead.
 /// Reads see either representation transparently; the first mutation

@@ -1,42 +1,51 @@
 //! Iceberg-cube materialization of candidate groups over a rating set.
 //!
-//! # Dense columnar materialization
+//! # Profile-proportional materialization
 //!
-//! The reviewer schema is tiny and fully enumerable (7 ages × 2 genders ×
-//! 21 occupations × 51 states = 14 994 base cells), so no hashing is
-//! needed to accumulate cells: the dataset precomputes one packed 15-bit
-//! reviewer code per rating ([`maprat_data::PackedUserCode`]), and every
-//! cuboid maps a code to a dense *cell id* with shift/mask field
-//! extraction and precomputed mixed-radix multipliers. Materialization
-//! is two passes:
+//! The reviewer schema is small and fully enumerable (7 ages × 2 genders
+//! × 21 occupations × 51 states = 14 994 base cells), but one query's
+//! rating set `R_I` hits only a sliver of it: a typical single title has
+//! a few hundred ratings from a few hundred distinct reviewer profiles,
+//! about 2% of the base cells. So no step of a build is sized by the
+//! schema. There are no dense per-cell tables; the work is proportional
+//! to `|R_I|`, to the number `P` of distinct profiles times the cuboids,
+//! and to the surviving cells (the sparse-cube argument of BUC, Beyer &
+//! Ramakrishnan, SIGMOD 1999). The dataset precomputes one packed 15-bit
+//! reviewer code per rating ([`maprat_data::PackedUserCode`]), and
+//! materialization is three steps:
 //!
-//! 1. a **counting pass** gathers the universe's code/score columns,
-//!    counting-sorts the positions by *distinct reviewer profile* (base
-//!    cell), rolls every cuboid's flat cell counts up from the profiles
-//!    (so per-cuboid work scales with the distinct-profile count, not
-//!    `|R_I|`), applies the iceberg threshold, and assigns each
-//!    surviving cell its candidate slot in the deterministic
-//!    coarse-to-fine order;
-//! 2. a **fill pass** ORs each profile's precomputed sparse word
-//!    pattern directly into preallocated cover blocks, and sums the
+//! 1. a **profile scan** ([`crate::delta::ProfileSummary::scan`]) gathers
+//!    the universe's code/score columns and groups the positions by
+//!    distinct profile with a two-pass LSD radix sort on the code
+//!    (`O(|R_I|)` plus two 256-bucket histograms). One walk over the
+//!    sorted positions yields each profile's code, histogram and sparse
+//!    cover word pattern;
+//! 2. a **roll-up** partitions the profiles recursively, one attribute at
+//!    a time with counting sorts sized by that attribute's cardinality,
+//!    and prunes every cell below the iceberg threshold together with
+//!    its finer cells. Each survivor keeps the list of its member
+//!    profiles and gets its candidate slot in the deterministic
+//!    coarse-to-fine order (`O(P × cuboids)` plus the surviving cells);
+//! 3. a **fill pass** walks each survivor's member profiles, ORs their
+//!    precomputed sparse word patterns directly into preallocated cover
+//!    blocks (profiles below the threshold are never visited), and sums the
 //!    per-survivor score histograms the [`maprat_data::RatingStats`]
-//!    are rebuilt from (bit-identical to a per-rating fold) — no
-//!    `HashMap`, no per-cell position `Vec`s, no `from_positions` copy,
+//!    are rebuilt from (bit-identical to a per-rating fold). There is no
+//!    `HashMap`, no per-cell position `Vec`, no `from_positions` copy,
 //!    and **no per-rating heap allocation** (enforced by a
-//!    counting-allocator test). Covers are windows of shared per-cuboid
-//!    block chunks recycled through a freelist across builds.
+//!    counting-allocator test, as is the absence of schema-sized
+//!    allocation). Covers are windows of shared per-cuboid block chunks
+//!    recycled through a freelist across builds.
 //!
-//! Cell ids are decoded back to [`GroupDesc`]s only for survivors. The
-//! per-cuboid passes fan out over the shared worker pool
+//! The fill fans out per cuboid over the shared worker pool
 //! ([`maprat_pool`]), with the pool's bit-identical-for-any-thread-count
-//! guarantee; results are byte-for-byte those of the naive
+//! guarantee. Results are byte-for-byte those of the naive
 //! hash-accumulating builder (enforced by a property test against the
 //! retained [`crate::oracle`]).
 
 use crate::bitmap::Bitmap;
 use crate::group::GroupDesc;
-use crate::lattice::Cuboid;
-use maprat_data::{Dataset, PackedUserCode, RatingIdx, RatingStats, UserAttr};
+use maprat_data::{Dataset, RatingIdx, RatingStats};
 use maprat_pool::{num_threads, parallel_map};
 use std::sync::Arc;
 
@@ -92,97 +101,18 @@ impl CandidateGroup {
     }
 }
 
-/// Sentinel in a cell → slot lookup table: the cell is below threshold.
-pub(crate) const NO_SLOT: u32 = u32::MAX;
-
 /// Size (in `u64` blocks) of one shared cover-pool chunk: 64 KiB — small
 /// enough that glibc serves it from recycled heap memory instead of a
 /// fresh `mmap` (whose zero pages would fault in on every build).
 pub(crate) const CHUNK_WORDS: usize = 8 * 1024;
 
-/// One shift/mask/multiplier lane of a cuboid's cell-id computation.
-/// Unused lanes have `mask == 0` (and thus contribute 0), so the encoder
-/// is a fixed, branch-free 4-lane dot product.
-#[derive(Debug, Clone, Copy, Default)]
-struct FieldLane {
-    shift: u32,
-    mask: u32,
-    mult: u32,
-}
-
-/// A cuboid's dense cell-id layout: mixed-radix multipliers over the
-/// packed-code fields of its attributes, in canonical attribute order
-/// (last attribute fastest).
-#[derive(Debug, Clone)]
-pub(crate) struct CellLayout {
-    pub(crate) cuboid: Cuboid,
-    /// Encoder lanes (padded to 4 with zero lanes).
-    lanes: [FieldLane; 4],
-    /// Decoder: `(attr, cardinality, multiplier)` per attribute.
-    radix: Vec<(UserAttr, u32, u32)>,
-    /// Total number of cells (product of cardinalities).
-    pub(crate) cells: usize,
-}
-
-impl CellLayout {
-    pub(crate) fn new(cuboid: Cuboid) -> CellLayout {
-        // Mixed-radix multipliers: attr_j's multiplier is the product of
-        // the cardinalities of the attributes after it (row-major).
-        let mut radix: Vec<(UserAttr, u32, u32)> = cuboid
-            .attrs_iter()
-            .map(|a| (a, a.cardinality() as u32, 1))
-            .collect();
-        let mut mult = 1u32;
-        for entry in radix.iter_mut().rev() {
-            entry.2 = mult;
-            mult *= entry.1;
-        }
-        let mut lanes = [FieldLane::default(); 4];
-        for (lane, &(attr, _, m)) in lanes.iter_mut().zip(&radix) {
-            *lane = FieldLane {
-                shift: PackedUserCode::shift(attr),
-                mask: u32::from(PackedUserCode::mask(attr)),
-                mult: m,
-            };
-        }
-        CellLayout {
-            cuboid,
-            lanes,
-            radix,
-            cells: mult as usize,
-        }
-    }
-
-    /// The dense cell id of a packed reviewer code — four shift/mask/
-    /// multiply lanes, no branches, no hashing.
-    #[inline(always)]
-    pub(crate) fn cell_of(&self, code: u16) -> usize {
-        let c = u32::from(code);
-        let l = &self.lanes;
-        (((c >> l[0].shift) & l[0].mask) * l[0].mult
-            + ((c >> l[1].shift) & l[1].mask) * l[1].mult
-            + ((c >> l[2].shift) & l[2].mask) * l[2].mult
-            + ((c >> l[3].shift) & l[3].mask) * l[3].mult) as usize
-    }
-
-    /// Decodes a cell id back to its group descriptor (survivors only —
-    /// the hot loops never run this).
-    pub(crate) fn decode(&self, cell: u32) -> GroupDesc {
-        let mut values = [0xFFu8; 4];
-        for &(attr, card, mult) in &self.radix {
-            values[attr.index()] = ((cell / mult) % card) as u8;
-        }
-        GroupDesc::from_raw_values(values)
-    }
-}
-
-/// The per-cuboid piece of a prepared build: the cell layout plus the
-/// slot assignment its fill pass writes through.
+/// The per-cuboid piece of a prepared build: the slot assignment its
+/// fill pass writes through.
 #[derive(Debug)]
 pub(crate) struct CuboidPass {
-    pub(crate) layout: CellLayout,
-    /// Cell id → local survivor index (`NO_SLOT` = below threshold).
-    pub(crate) local: Vec<u32>,
+    /// Local survivor index → its member profiles, as the range
+    /// `start..end` of [`CubePlan::members`].
+    pub(crate) members: Vec<(u32, u32)>,
     /// Local survivor index → global candidate slot.
     pub(crate) globals: Vec<u32>,
     /// Prefix sums of per-survivor word-entry counts
@@ -192,16 +122,16 @@ pub(crate) struct CuboidPass {
     pub(crate) entry_offsets: Vec<u32>,
 }
 
-/// The output of the counting pass, ready for the fill pass: the
-/// universe counting-sorted by *distinct reviewer profile* (base cell),
-/// plus slot assignments for every surviving cell of every cuboid, in
-/// the final (deterministic, coarse-to-fine) candidate order.
+/// The output of the scan and roll-up, ready for the fill pass: the
+/// universe grouped by *distinct reviewer profile*, plus slot
+/// assignments for every surviving cell of every cuboid, in the final
+/// (deterministic, coarse-to-fine) candidate order.
 ///
 /// The profile grouping is the load-bearing trick: every per-cuboid
 /// quantity — cell counts, score histograms, covers — rolls up from the
-/// per-profile ranges, so per-cuboid work scales with the number of
-/// distinct reviewer profiles in `R_I` (bounded by the reviewer
-/// population and by the 14 994-cell base cuboid), not with `|R_I|`.
+/// profiles, so per-cuboid work scales with the number of distinct
+/// reviewer profiles in `R_I`, not with `|R_I|` or the schema's cell
+/// count.
 ///
 /// Exposed (hidden) so the allocation-guard test can warm a build and
 /// then measure the fill pass in isolation.
@@ -210,9 +140,11 @@ pub(crate) struct CuboidPass {
 pub struct CubePlan {
     pub(crate) rating_idx: Arc<[u32]>,
     pub(crate) options: CubeOptions,
-    /// The packed reviewer code of each distinct profile, in ascending
-    /// base-cell order.
+    /// The packed reviewer code of each distinct profile, ascending.
     pub(crate) profiles: Vec<u16>,
+    /// Profile indexes of every survivor's members, one run per survivor
+    /// (see [`CuboidPass::members`]).
+    pub(crate) members: Vec<u32>,
     /// Per-profile score histograms; a survivor's stats are the sum of
     /// its member profiles' histograms.
     pub(crate) profile_hists: Vec<[u32; 5]>,
@@ -230,24 +162,12 @@ pub struct CubePlan {
     pub(crate) total: RatingStats,
 }
 
-/// Reconstructs the packed reviewer code of a base-cuboid cell.
-pub(crate) fn code_of_base_cell(base: &CellLayout, cell: usize) -> u16 {
-    let mut code = 0u16;
-    for &(attr, card, mult) in &base.radix {
-        let v = (cell as u32 / mult) % card;
-        code |= (v as u16) << PackedUserCode::shift(attr);
-    }
-    code
-}
-
 impl CubePlan {
-    /// Gather + counting pass.
+    /// Profile scan + roll-up.
     ///
-    /// Materializes the code/score columns for the universe, counting-
-    /// sorts the positions by *base cell* (one universal grouping: every
-    /// distinct reviewer profile is one base-cuboid cell, whatever the
-    /// requested cuboid set), rolls each cuboid's cell counts up from
-    /// the distinct profiles, applies the iceberg threshold, and assigns
+    /// Groups the universe's positions by distinct reviewer profile (one
+    /// universal grouping, whatever the requested cuboid set), rolls the
+    /// cuboids up from the profiles with iceberg pruning, and assigns
     /// surviving cells their candidate slots in coarse-to-fine
     /// descriptor order.
     #[doc(hidden)]
@@ -257,11 +177,11 @@ impl CubePlan {
         options: CubeOptions,
         _threads: usize,
     ) -> CubePlan {
-        // (The counting pass rolls every cuboid up from the distinct
-        // profiles — a few thousand adds in total — so it no longer pays
-        // to fan out; the parameter is kept for the fill pass's sibling
-        // signature. The scan itself lives in [`crate::delta`] so the
-        // ingest path can retain it and append to it incrementally.)
+        // (The roll-up works over the distinct profiles — a few thousand
+        // adds in total — so it does not pay to fan out; the parameter
+        // is kept for the fill pass's sibling signature. The scan lives
+        // in [`crate::delta`] so the ingest path can retain it and
+        // append to it incrementally.)
         crate::delta::ProfileSummary::scan(dataset, rating_idx).into_plan(options)
     }
 
@@ -275,7 +195,7 @@ impl CubePlan {
     /// of mostly-zero dense windows.
     ///
     /// Per cuboid the word entries are first regrouped *by survivor* (a
-    /// counting sort over the compact entry lists — cache-resident), and
+    /// walk over each survivor's member profiles — cache-resident), and
     /// pools are then written chunk by chunk: each 64 KiB chunk is
     /// zeroed and immediately ORed full while still cache-hot, so cover
     /// blocks make exactly one trip to memory. Chunks stay below the
@@ -297,36 +217,30 @@ impl CubePlan {
             if n == 0 {
                 return (Vec::new(), hists);
             }
-            // Regroup the per-profile word entries by survivor (a
-            // counting-sort scatter; prepare already accumulated the
-            // per-survivor entry prefix sums), folding the histogram
-            // merge into the same single profile scan.
+            // Regroup the word entries by survivor, walking each
+            // survivor's member profiles (prepare accumulated the
+            // per-survivor entry prefix sums), and fold the histogram
+            // merge into the same walk.
             let entry_offsets = &pass.entry_offsets;
             let total_entries = entry_offsets[n] as usize;
-            let mut surv_word_idx = vec![0u32; total_entries];
-            let mut surv_word_bits = vec![0u64; total_entries];
-            let mut cursor: Vec<u32> = entry_offsets[..n].to_vec();
-            for (k, &code) in self.profiles.iter().enumerate() {
-                let local = pass.local[pass.layout.cell_of(code)];
-                if local == NO_SLOT {
-                    continue;
+            let mut surv_word_idx: Vec<u32> = Vec::with_capacity(total_entries);
+            let mut surv_word_bits: Vec<u64> = Vec::with_capacity(total_entries);
+            for (hist, &(start, end)) in hists.iter_mut().zip(&pass.members) {
+                for &k in &self.members[start as usize..end as usize] {
+                    let k = k as usize;
+                    for (h, ph) in hist.iter_mut().zip(&self.profile_hists[k]) {
+                        *h += ph;
+                    }
+                    // Elementwise, not `extend_from_slice`: profile runs
+                    // average a handful of entries, where per-call
+                    // `memcpy` overhead would dominate the copy itself.
+                    for j in self.word_offsets[k] as usize..self.word_offsets[k + 1] as usize {
+                        surv_word_idx.push(self.word_idx[j]);
+                        surv_word_bits.push(self.word_bits[j]);
+                    }
                 }
-                let l = local as usize;
-                for (h, ph) in hists[l].iter_mut().zip(&self.profile_hists[k]) {
-                    *h += ph;
-                }
-                // Elementwise, not `copy_from_slice`: profile runs
-                // average a handful of entries, where per-call
-                // `memcpy` overhead would dominate the copy itself.
-                let src = self.word_offsets[k] as usize..self.word_offsets[k + 1] as usize;
-                let mut dst = cursor[l] as usize;
-                for j in src {
-                    surv_word_idx[dst] = self.word_idx[j];
-                    surv_word_bits[dst] = self.word_bits[j];
-                    dst += 1;
-                }
-                cursor[l] = dst as u32;
             }
+            debug_assert_eq!(surv_word_idx.len(), total_entries);
             // Per-survivor representation: nearly-empty cells take
             // the sparse run container, the rest pack into dense
             // chunk windows. The decision is a pure function of the
@@ -472,12 +386,12 @@ impl RatingCube {
     /// indexes with the default worker count
     /// ([`maprat_pool::num_threads`]).
     ///
-    /// Runs the dense two-pass pipeline (see the module docs): a
-    /// counting pass over packed reviewer codes applies the iceberg
-    /// threshold and assigns candidate slots, then a fill pass sets
-    /// cover bits into preallocated bitmaps. Both passes fan out
-    /// per-cuboid over the shared worker pool; results are identical for
-    /// any thread count.
+    /// Runs the profile-proportional pipeline (see the module docs): a
+    /// profile scan and roll-up over packed reviewer codes apply the
+    /// iceberg threshold and assign candidate slots, then a fill pass
+    /// sets cover bits into preallocated bitmaps, fanned out per cuboid
+    /// over the shared worker pool; results are identical for any
+    /// thread count.
     pub fn build(dataset: &Dataset, rating_idx: Vec<u32>, options: CubeOptions) -> Self {
         Self::build_with_threads(dataset, rating_idx, options, num_threads())
     }

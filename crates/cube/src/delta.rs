@@ -1,12 +1,34 @@
-//! Incremental cube maintenance over retained profile summaries.
+//! Profile summaries: the builder's scan and roll-up, and incremental
+//! cube maintenance over retained summaries.
 //!
-//! The dense two-pass builder's counting pass produces an
-//! options-independent intermediate — the distinct reviewer profiles of a
-//! rating universe, each with its score histogram and sparse cover word
-//! pattern. [`ProfileSummary`] *retains* that intermediate so it can be
-//! maintained instead of recomputed:
+//! The builder's profile scan produces an options-independent
+//! intermediate — the distinct reviewer profiles of a rating universe,
+//! each with its score histogram and sparse cover word pattern.
+//! [`ProfileSummary`] holds it, and its roll-up turns it into a
+//! fill-ready plan under any [`CubeOptions`].
 //!
-//! * [`ProfileSummary::append`] runs the counting pass over only the
+//! # Cost model
+//!
+//! Nothing here is sized by the reviewer schema's cell count (14 994
+//! base cells; 26 928 over the 8 geo cuboids):
+//!
+//! * the **scan** is `O(|R_I|)`: a gather plus a two-pass LSD radix sort
+//!   of the positions on their 15-bit packed code (two 256-bucket
+//!   histograms), then one walk that cuts the profile runs. A profile's
+//!   code is read off a member position;
+//! * the **roll-up** is BUC-style recursive partitioning over the `P`
+//!   distinct profiles. Each step counting-sorts one cell's profiles by
+//!   the next attribute, and cells below the iceberg threshold are pruned
+//!   with their whole subtree. Work is `O(P × cuboids)` plus the
+//!   surviving cells' buckets. Each survivor records its member profiles
+//!   (a run of profile indexes) instead of a cell → slot table;
+//! * the **fill** walks each survivor's members, so profiles in pruned
+//!   cells are never visited; the delta fill marks the appended profiles
+//!   by binary search into the merged summary and walks the same lists.
+//!
+//! A retained summary can be maintained instead of recomputed:
+//!
+//! * [`ProfileSummary::append`] runs the scan over only the
 //!   *appended* positions and merges the new distinct profiles in — the
 //!   live-ingest delta path (cost scales with the batch, not the
 //!   universe);
@@ -32,18 +54,15 @@
 use crate::bitmap::{
     alloc_chunk, seal_chunk, sparse_cover_eligible, Bitmap, PooledBlocks, SparseStore,
 };
-use crate::builder::{
-    code_of_base_cell, CandidateGroup, CellLayout, CubeOptions, CubePlan, CuboidPass, RatingCube,
-    CHUNK_WORDS, NO_SLOT,
-};
+use crate::builder::{CandidateGroup, CubeOptions, CubePlan, CuboidPass, RatingCube, CHUNK_WORDS};
 use crate::group::GroupDesc;
 use crate::lattice::{attribute_subsets, geo_cuboids, Cuboid};
-use maprat_data::{Dataset, IndexRemap, RatingIdx, RatingStats};
+use maprat_data::{Dataset, IndexRemap, PackedUserCode, RatingIdx, RatingStats, UserAttr};
 use maprat_pool::{num_threads, parallel_map};
 use std::sync::Arc;
 
-/// The retained counting-pass state of one rating universe: its distinct
-/// reviewer profiles in ascending base-cell order, each with the number
+/// The retained scan state of one rating universe: its distinct
+/// reviewer profiles in ascending packed-code order, each with the number
 /// of covered positions, a score histogram and a sparse cover word
 /// pattern (CSR over `u64` cover blocks).
 ///
@@ -60,9 +79,7 @@ pub struct ProfileSummary {
     universe: usize,
     /// Dataset rating indexes, in cover-position order.
     rating_idx: Vec<u32>,
-    /// Base-cuboid cell of each distinct profile, strictly ascending.
-    cells: Vec<u32>,
-    /// Packed reviewer code of each profile (decodes its cell).
+    /// Packed reviewer code of each distinct profile, strictly ascending.
     codes: Vec<u16>,
     /// Number of universe positions carrying each profile.
     counts: Vec<u32>,
@@ -116,12 +133,172 @@ fn push_word(word_idx: &mut Vec<u32>, word_bits: &mut Vec<u64>, floor: usize, w:
     }
 }
 
+/// Marks a merged profile that an append did not touch.
+const NO_APPENDED: u32 = u32::MAX;
+
+/// Bits of a packed survivor sort entry below the descriptor's sort key
+/// (whose own value stays below 2^35): room for every cell of every
+/// cuboid.
+const ORDINAL_BITS: u32 = 24;
+
+/// The attribute order of the roll-up's partitioning: decreasing
+/// cardinality (51, 21, 7, 2), so coarse cells split into many small
+/// ones early and the iceberg threshold prunes them before the deeper
+/// steps. State coming first also makes the geo cuboids (every cuboid
+/// containing state) exactly the subtree under the first step.
+const ROLLUP_DIMS: [UserAttr; 4] = [
+    UserAttr::State,
+    UserAttr::Occupation,
+    UserAttr::Age,
+    UserAttr::Gender,
+];
+
+/// A cell the roll-up found at or above the iceberg threshold.
+struct Survivor {
+    desc: GroupDesc,
+    /// Index of the cell's cuboid pass.
+    pass: usize,
+    /// Word entries of its member profiles, summed.
+    entries: u32,
+    /// Its member profiles: `start..end` of [`Rollup::members`].
+    members: (u32, u32),
+}
+
+/// The roll-up of [`ProfileSummary::into_plan`]: a BUC-style recursive
+/// partitioning (Beyer & Ramakrishnan, SIGMOD 1999) of the distinct
+/// profiles. Each step counting-sorts one cell's profiles by the next
+/// attribute (buckets sized by that attribute's cardinality), and every
+/// non-empty bucket is a cell of the finer cuboid. A cell below the
+/// iceberg threshold is pruned with its whole subtree (support only
+/// shrinks as cells refine), so the work follows the profiles and the
+/// surviving cells, never a cuboid's full cell range.
+struct Rollup<'a> {
+    codes: &'a [u16],
+    counts: &'a [u32],
+    word_offsets: &'a [u32],
+    min_support: u32,
+    max_arity: usize,
+    /// Pass index of each cuboid (by attribute mask).
+    pass_of: [usize; 16],
+    /// The surviving cells, in discovery order.
+    survivors: Vec<Survivor>,
+    /// The member profiles of every survivor, one run per survivor.
+    members: Vec<u32>,
+    /// One profile-index buffer per refinement depth: the members of a
+    /// depth-`d` cell sit in `levels[d]` at the same offsets their
+    /// parent cell's members had in `levels[d − 1]`.
+    levels: Vec<u32>,
+}
+
+/// Per-bucket totals of one partitioning step.
+#[derive(Clone, Copy, Default)]
+struct Bucket {
+    profiles: u32,
+    support: u32,
+    entries: u32,
+}
+
+impl Rollup<'_> {
+    /// Refines the cell of `cuboid` (fields `values`) whose members sit
+    /// at `range` of depth `depth`'s buffer by each of the first
+    /// `branch` attributes of `dims`, recursing into the surviving cells
+    /// with the attributes after the one just added.
+    fn expand(
+        &mut self,
+        depth: usize,
+        range: std::ops::Range<usize>,
+        cuboid: Cuboid,
+        values: [u8; 4],
+        dims: &[UserAttr],
+        branch: usize,
+    ) {
+        let p = self.codes.len();
+        let field =
+            |code: u16, attr: UserAttr| usize::from(PackedUserCode::from_raw(code).field(attr));
+        for (j, &attr) in dims.iter().enumerate().take(branch) {
+            let card = attr.cardinality();
+            let members = &self.levels[depth * p..][range.clone()];
+            let mut buckets = [Bucket::default(); 64];
+            for &k in members {
+                let k = k as usize;
+                let b = &mut buckets[field(self.codes[k], attr)];
+                b.profiles += 1;
+                b.support += self.counts[k];
+                b.entries += self.word_offsets[k + 1] - self.word_offsets[k];
+            }
+            // Scatter the members into the next depth's buffer, at the
+            // same offsets, grouped by the new attribute.
+            let mut cursor = [0u32; 64];
+            let mut sum = range.start as u32;
+            for (cur, b) in cursor.iter_mut().zip(&buckets[..card]) {
+                *cur = sum;
+                sum += b.profiles;
+            }
+            let starts = cursor;
+            let (lower, upper) = self.levels.split_at_mut((depth + 1) * p);
+            let next = &mut upper[..p];
+            for &k in &lower[depth * p..][range.clone()] {
+                let v = field(self.codes[k as usize], attr);
+                next[cursor[v] as usize] = k;
+                cursor[v] += 1;
+            }
+
+            let child = Cuboid(cuboid.0 | 1 << attr.index());
+            let rest = &dims[j + 1..];
+            let recurse = !rest.is_empty() && (child.dimensionality() as usize) < self.max_arity;
+            for (v, b) in buckets[..card].iter().enumerate() {
+                if b.support < self.min_support {
+                    continue;
+                }
+                let cell = starts[v] as usize..(starts[v] + b.profiles) as usize;
+                let mut cell_values = values;
+                cell_values[attr.index()] = v as u8;
+                let start = self.members.len() as u32;
+                self.members
+                    .extend_from_slice(&self.levels[(depth + 1) * p..][cell.clone()]);
+                self.survivors.push(Survivor {
+                    desc: GroupDesc::from_raw_values(cell_values),
+                    pass: self.pass_of[usize::from(child.0)],
+                    entries: b.entries,
+                    members: (start, self.members.len() as u32),
+                });
+                if recurse {
+                    self.expand(depth + 1, cell, child, cell_values, rest, rest.len());
+                }
+            }
+        }
+    }
+}
+
+/// One stable counting-sort pass of a radix sort: scatters `src`
+/// positions into `dst` by the 8-bit digit `codes[p] >> shift`, given
+/// that digit's histogram. Equal digits keep their `src` order.
+fn radix_scatter(
+    codes: &[u16],
+    src: impl Iterator<Item = u32>,
+    digit_counts: &[u32; 256],
+    shift: u32,
+    dst: &mut [u32],
+) {
+    let mut cursor = [0u32; 256];
+    let mut sum = 0u32;
+    for (cur, &c) in cursor.iter_mut().zip(digit_counts) {
+        *cur = sum;
+        sum += c;
+    }
+    for p in src {
+        let digit = usize::from((codes[p as usize] >> shift) & 0xFF);
+        dst[cursor[digit] as usize] = p;
+        cursor[digit] += 1;
+    }
+}
+
 impl ProfileSummary {
-    /// Runs the counting pass over a rating universe: gathers the packed
-    /// code/score columns, counting-sorts positions by distinct reviewer
+    /// Runs the profile scan over a rating universe: gathers the packed
+    /// code/score columns, radix-sorts positions by distinct reviewer
     /// profile, and materializes per-profile histograms and sparse cover
-    /// word patterns. This is byte-for-byte the scratch builder's first
-    /// pass ([`CubePlan::prepare`] delegates here).
+    /// word patterns. This is the scratch builder's first step
+    /// ([`CubePlan::prepare`] delegates here).
     pub fn scan(dataset: &Dataset, rating_idx: Vec<u32>) -> ProfileSummary {
         Self::scan_with_offset(dataset, rating_idx, 0)
     }
@@ -135,86 +312,77 @@ impl ProfileSummary {
         let mut codes: Vec<u16> = Vec::with_capacity(rating_idx.len());
         let mut bins: Vec<u8> = Vec::with_capacity(rating_idx.len());
         let mut total_hist = [0u64; 5];
+        // Digit histograms of the two radix passes, taken in the gather.
+        let mut low_counts = [0u32; 256];
+        let mut high_counts = [0u32; 256];
         for &ridx in &rating_idx {
             let i = RatingIdx(ridx).index();
-            codes.push(all_codes[i]);
+            let code = all_codes[i];
+            codes.push(code);
+            low_counts[usize::from(code & 0xFF)] += 1;
+            high_counts[usize::from(code >> 8)] += 1;
             let bin = all_bins[i];
             bins.push(bin);
             total_hist[usize::from(bin)] += 1;
         }
         let universe = codes.len();
 
-        // Universal base-cell counting sort: group positions by distinct
-        // reviewer profile. The only per-position loop in the pipeline.
-        let base = CellLayout::new(Cuboid::BASE);
-        let mut counts = vec![0u32; base.cells];
-        for &code in &codes {
-            counts[base.cell_of(code)] += 1;
-        }
-        let mut cursor = vec![0u32; base.cells];
-        let mut sum = 0u32;
-        for (cur, &c) in cursor.iter_mut().zip(&counts) {
-            *cur = sum;
-            sum += c;
-        }
+        // Group positions by distinct reviewer profile: a stable two-pass
+        // LSD radix sort on the packed code (low byte, then the high
+        // seven bits), so positions stay ascending within a profile.
+        let mut by_low = vec![0u32; universe];
+        radix_scatter(&codes, 0..universe as u32, &low_counts, 0, &mut by_low);
         let mut positions = vec![0u32; universe];
-        for (pos, &code) in codes.iter().enumerate() {
-            let cell = base.cell_of(code);
-            positions[cursor[cell] as usize] = pos as u32;
-            cursor[cell] += 1;
-        }
-        // Compact non-empty cells into the profile list (ascending
-        // base-cell order; after the scatter `cursor[cell]` is the END
-        // of the cell's contiguous range).
-        let mut cells: Vec<u32> = Vec::new();
-        let mut profiles: Vec<u16> = Vec::new();
-        let mut profile_counts: Vec<u32> = Vec::new();
-        let mut profile_offsets: Vec<u32> = vec![0];
-        for (cell, &cnt) in counts.iter().enumerate() {
-            if cnt > 0 {
-                cells.push(cell as u32);
-                profiles.push(code_of_base_cell(&base, cell));
-                profile_counts.push(cnt);
-                profile_offsets.push(cursor[cell]);
-            }
-        }
-        let mut hists = vec![[0u32; 5]; profiles.len()];
-        for (k, hist) in hists.iter_mut().enumerate() {
-            let range = profile_offsets[k] as usize..profile_offsets[k + 1] as usize;
-            for &p in &positions[range] {
-                hist[usize::from(bins[p as usize])] += 1;
-            }
-        }
+        radix_scatter(
+            &codes,
+            by_low.iter().copied(),
+            &high_counts,
+            8,
+            &mut positions,
+        );
+        drop(by_low);
 
-        // Per-profile cover word patterns (sparse CSR). Positions are
-        // ascending within a profile, so runs sharing a block fold into
-        // one entry.
+        // One walk over the sorted positions cuts the profile runs and
+        // builds each profile's histogram and sparse cover word pattern
+        // (CSR); positions sharing a cover block fold into one entry.
+        let mut profiles: Vec<u16> = Vec::new();
+        let mut counts: Vec<u32> = Vec::new();
+        let mut hists: Vec<[u32; 5]> = Vec::new();
         let mut word_idx: Vec<u32> = Vec::with_capacity(universe);
         let mut word_bits: Vec<u64> = Vec::with_capacity(universe);
-        let mut word_offsets: Vec<u32> = Vec::with_capacity(profiles.len() + 1);
-        word_offsets.push(0);
-        for k in 0..profiles.len() {
-            let range = profile_offsets[k] as usize..profile_offsets[k + 1] as usize;
-            let mut current = u32::MAX;
-            for &p in &positions[range] {
-                let global = offset + p as usize;
-                let w = (global / 64) as u32;
-                if w != current {
-                    word_idx.push(w);
-                    word_bits.push(0);
-                    current = w;
+        let mut word_offsets: Vec<u32> = vec![0];
+        let mut current_word = u32::MAX;
+        for &p in &positions {
+            let code = codes[p as usize];
+            if profiles.last() != Some(&code) {
+                if !profiles.is_empty() {
+                    word_offsets.push(word_idx.len() as u32);
                 }
-                *word_bits.last_mut().expect("just pushed") |= 1u64 << (global % 64);
+                profiles.push(code);
+                counts.push(0);
+                hists.push([0u32; 5]);
+                current_word = u32::MAX;
             }
+            *counts.last_mut().expect("just pushed") += 1;
+            hists.last_mut().expect("just pushed")[usize::from(bins[p as usize])] += 1;
+            let global = offset + p as usize;
+            let w = (global / 64) as u32;
+            if w != current_word {
+                word_idx.push(w);
+                word_bits.push(0);
+                current_word = w;
+            }
+            *word_bits.last_mut().expect("just pushed") |= 1u64 << (global % 64);
+        }
+        if !profiles.is_empty() {
             word_offsets.push(word_idx.len() as u32);
         }
 
         ProfileSummary {
             universe,
             rating_idx,
-            cells,
             codes: profiles,
-            counts: profile_counts,
+            counts,
             hists,
             word_idx,
             word_bits,
@@ -246,7 +414,7 @@ impl ProfileSummary {
         remap.remap_in_place(&mut self.rating_idx);
     }
 
-    /// Counting pass over only the appended tail, merged into a new
+    /// Profile scan over only the appended tail, merged into a new
     /// summary. Returns the merged summary plus the [`AppendDelta`] that
     /// [`build_reusing`](Self::build_reusing) needs to OR the new bits
     /// on top of an existing cube's covers.
@@ -279,8 +447,7 @@ impl ProfileSummary {
             *t += r;
         }
 
-        let n = left.cells.len() + right.cells.len();
-        let mut cells = Vec::with_capacity(n);
+        let n = left.codes.len() + right.codes.len();
         let mut codes = Vec::with_capacity(n);
         let mut counts = Vec::with_capacity(n);
         let mut hists = Vec::with_capacity(n);
@@ -290,14 +457,13 @@ impl ProfileSummary {
         word_offsets.push(0u32);
 
         let (mut i, mut j) = (0usize, 0usize);
-        while i < left.cells.len() || j < right.cells.len() {
+        while i < left.codes.len() || j < right.codes.len() {
             let take_left =
-                j == right.cells.len() || (i < left.cells.len() && left.cells[i] <= right.cells[j]);
+                j == right.codes.len() || (i < left.codes.len() && left.codes[i] <= right.codes[j]);
             let take_right =
-                i == left.cells.len() || (j < right.cells.len() && right.cells[j] <= left.cells[i]);
+                i == left.codes.len() || (j < right.codes.len() && right.codes[j] <= left.codes[i]);
             let floor = word_idx.len();
             if take_left {
-                cells.push(left.cells[i]);
                 codes.push(left.codes[i]);
                 counts.push(left.counts[i]);
                 hists.push(left.hists[i]);
@@ -308,12 +474,11 @@ impl ProfileSummary {
             }
             if take_right {
                 if !take_left {
-                    cells.push(right.cells[j]);
                     codes.push(right.codes[j]);
                     counts.push(0);
                     hists.push([0u32; 5]);
                 }
-                let k = cells.len() - 1;
+                let k = codes.len() - 1;
                 counts[k] += right.counts[j];
                 for (h, rh) in hists[k].iter_mut().zip(&right.hists[j]) {
                     *h += rh;
@@ -339,7 +504,6 @@ impl ProfileSummary {
         ProfileSummary {
             universe: left.universe + right.universe,
             rating_idx,
-            cells,
             codes,
             counts,
             hists,
@@ -418,10 +582,13 @@ impl ProfileSummary {
     }
 
     /// Rollup + iceberg threshold + slot assignment: turns the retained
-    /// counting-pass state into a fill-ready [`CubePlan`]. Identical in
-    /// effect to the second half of the original `prepare`.
+    /// scan state into a fill-ready [`CubePlan`].
+    ///
+    /// The cuboids roll up from the distinct profiles by recursive
+    /// partitioning ([`Rollup`]); the work follows the profiles and the
+    /// surviving cells, never a cuboid's full cell range.
     pub(crate) fn into_plan(self, options: CubeOptions) -> CubePlan {
-        let layouts: Vec<CellLayout> = if options.require_geo {
+        let cuboids: Vec<Cuboid> = if options.require_geo {
             geo_cuboids()
         } else {
             attribute_subsets()
@@ -431,63 +598,78 @@ impl ProfileSummary {
             let d = c.dimensionality() as usize;
             d >= 1 && d <= options.max_arity
         })
-        .map(CellLayout::new)
         .collect();
+        let mut pass_of = [usize::MAX; 16];
+        for (ci, c) in cuboids.iter().enumerate() {
+            pass_of[usize::from(c.0)] = ci;
+        }
 
-        // Per-cuboid cell counts (and per-cell word-entry counts for the
-        // fill pass's regrouping), rolled up from the distinct profiles
-        // — a handful of adds per profile, not a pass over the universe.
         // An empty cell can never become a candidate, so the effective
         // threshold is at least 1 (matching the naive builder, which
         // only ever saw touched cells).
-        let min_support = options.min_support.max(1) as u32;
-        let mut survivors: Vec<(GroupDesc, usize, u32, u32)> = Vec::new();
-        for (ci, layout) in layouts.iter().enumerate() {
-            let mut cell_counts = vec![0u32; layout.cells];
-            let mut cell_entries = vec![0u32; layout.cells];
-            for (k, &code) in self.codes.iter().enumerate() {
-                let cell = layout.cell_of(code);
-                cell_counts[cell] += self.counts[k];
-                cell_entries[cell] += self.word_offsets[k + 1] - self.word_offsets[k];
+        let p = self.codes.len();
+        let mut rollup = Rollup {
+            codes: &self.codes,
+            counts: &self.counts,
+            word_offsets: &self.word_offsets,
+            min_support: u32::try_from(options.min_support.max(1)).unwrap_or(u32::MAX),
+            max_arity: options.max_arity,
+            pass_of,
+            survivors: Vec::new(),
+            members: Vec::new(),
+            levels: vec![0; p * (ROLLUP_DIMS.len() + 1)],
+        };
+        if !cuboids.is_empty() {
+            for (k, m) in rollup.levels[..p].iter_mut().enumerate() {
+                *m = k as u32;
             }
-            let arity = layout.cuboid.dimensionality() as usize;
-            for (cell, &n) in cell_counts.iter().enumerate() {
-                if n >= min_support {
-                    let desc = layout.decode(cell as u32);
-                    debug_assert_eq!(desc.arity(), arity);
-                    survivors.push((desc, ci, cell as u32, cell_entries[cell]));
-                }
-            }
+            // Geo cuboids are the subtree under the first (state) step.
+            let branch = if options.require_geo {
+                1
+            } else {
+                ROLLUP_DIMS.len()
+            };
+            rollup.expand(0, 0..p, Cuboid::APEX, [0xFF; 4], &ROLLUP_DIMS, branch);
         }
+        let Rollup {
+            survivors, members, ..
+        } = rollup;
 
         // Survivors ordered coarse-to-fine (arity, then descriptor) —
         // the deterministic candidate order. Keys are unique (a
-        // descriptor identifies its cuboid), so the order is total.
-        survivors.sort_unstable_by_key(|&(desc, _, _, _)| desc.sort_key());
+        // descriptor identifies its cuboid), so the order is total; one
+        // integer sort of (key, discovery ordinal) packs.
+        debug_assert!(survivors.len() < 1 << ORDINAL_BITS);
+        let mut order: Vec<u64> = survivors
+            .iter()
+            .enumerate()
+            .map(|(o, s)| s.desc.sort_key() << ORDINAL_BITS | o as u64)
+            .collect();
+        order.sort_unstable();
 
-        let mut passes: Vec<CuboidPass> = layouts
-            .into_iter()
-            .map(|layout| CuboidPass {
-                local: vec![NO_SLOT; layout.cells],
+        let mut passes: Vec<CuboidPass> = (0..cuboids.len())
+            .map(|_| CuboidPass {
+                members: Vec::new(),
                 globals: Vec::new(),
                 entry_offsets: vec![0],
-                layout,
             })
             .collect();
         let mut slot_descs = Vec::with_capacity(survivors.len());
-        for (slot, &(desc, ci, cell, entries)) in survivors.iter().enumerate() {
-            let pass = &mut passes[ci];
-            pass.local[cell as usize] = pass.globals.len() as u32;
+        for (slot, &packed) in order.iter().enumerate() {
+            let survivor = &survivors[(packed & ((1 << ORDINAL_BITS) - 1)) as usize];
+            let pass = &mut passes[survivor.pass];
+            pass.members.push(survivor.members);
             pass.globals.push(slot as u32);
             let last = *pass.entry_offsets.last().expect("starts at [0]");
-            pass.entry_offsets.push(last + entries);
-            slot_descs.push(desc);
+            pass.entry_offsets.push(last + survivor.entries);
+            slot_descs.push(survivor.desc);
         }
 
         CubePlan {
             rating_idx: self.rating_idx.into(),
             options,
             profiles: self.codes,
+            members,
             profile_hists: self.hists,
             word_idx: self.word_idx,
             word_bits: self.word_bits,
@@ -576,26 +758,37 @@ fn fill_reusing(
     let old_words = delta.old_universe.div_ceil(64).max(1);
     let same_geometry = words == old_words;
     let dpart = &delta.part;
+    // Each merged profile's index among the appended profiles
+    // (`NO_APPENDED` = the commit added no rating with that profile).
+    let mut appended = vec![NO_APPENDED; plan.profiles.len()];
+    for (di, code) in dpart.codes.iter().enumerate() {
+        let k = plan
+            .profiles
+            .binary_search(code)
+            .expect("the merged summary holds every appended profile");
+        appended[k] = di as u32;
+    }
 
     let filled: Vec<(Vec<Bitmap>, Vec<[u32; 5]>)> =
         parallel_map(plan.passes.len(), threads, |ci| {
             let pass = &plan.passes[ci];
-            let layout = &pass.layout;
             let n = pass.globals.len();
             let mut hists = vec![[0u32; 5]; n];
             if n == 0 {
                 return (Vec::new(), hists);
             }
+            let members_of = |l: usize| {
+                let (start, end) = pass.members[l];
+                &plan.members[start as usize..end as usize]
+            };
             // Survivor stats: rolled up from the merged profile
             // histograms (u32 adds — order-independent, so identical to
             // the scratch fill's accumulation).
-            for (k, &code) in plan.profiles.iter().enumerate() {
-                let local = pass.local[layout.cell_of(code)];
-                if local == NO_SLOT {
-                    continue;
-                }
-                for (h, ph) in hists[local as usize].iter_mut().zip(&plan.profile_hists[k]) {
-                    *h += ph;
+            for (l, hist) in hists.iter_mut().enumerate() {
+                for &k in members_of(l) {
+                    for (h, ph) in hist.iter_mut().zip(&plan.profile_hists[k as usize]) {
+                        *h += ph;
+                    }
                 }
             }
             // Where each new survivor lived in the previous cube (`None`
@@ -605,36 +798,25 @@ fn fill_reusing(
                 .iter()
                 .map(|&slot| prev.index_of(&plan.slot_descs[slot as usize]))
                 .collect();
-            // Regroup the delta word entries by survivor (counting-sort
-            // scatter over the — small — appended-profile list).
-            let mut d_offsets = vec![0u32; n + 1];
-            for (k, &code) in dpart.codes.iter().enumerate() {
-                let local = pass.local[layout.cell_of(code)];
-                if local != NO_SLOT {
-                    d_offsets[local as usize + 1] +=
-                        dpart.word_offsets[k + 1] - dpart.word_offsets[k];
-                }
-            }
+            // Regroup the delta word entries by survivor: survivor `l`'s
+            // sit at `d_offsets[l]..d_offsets[l + 1]`.
+            let mut d_offsets: Vec<u32> = Vec::with_capacity(n + 1);
+            d_offsets.push(0);
+            let mut d_word_idx: Vec<u32> = Vec::new();
+            let mut d_word_bits: Vec<u64> = Vec::new();
             for l in 0..n {
-                d_offsets[l + 1] += d_offsets[l];
-            }
-            let total_d = d_offsets[n] as usize;
-            let mut d_word_idx = vec![0u32; total_d];
-            let mut d_word_bits = vec![0u64; total_d];
-            let mut cursor: Vec<u32> = d_offsets[..n].to_vec();
-            for (k, &code) in dpart.codes.iter().enumerate() {
-                let local = pass.local[layout.cell_of(code)];
-                if local == NO_SLOT {
-                    continue;
+                for &k in members_of(l) {
+                    let di = appended[k as usize];
+                    if di == NO_APPENDED {
+                        continue;
+                    }
+                    let di = di as usize;
+                    for j in dpart.word_offsets[di] as usize..dpart.word_offsets[di + 1] as usize {
+                        d_word_idx.push(dpart.word_idx[j]);
+                        d_word_bits.push(dpart.word_bits[j]);
+                    }
                 }
-                let l = local as usize;
-                let mut dst = cursor[l] as usize;
-                for j in dpart.word_offsets[k] as usize..dpart.word_offsets[k + 1] as usize {
-                    d_word_idx[dst] = dpart.word_idx[j];
-                    d_word_bits[dst] = dpart.word_bits[j];
-                    dst += 1;
-                }
-                cursor[l] = dst as u32;
+                d_offsets.push(d_word_idx.len() as u32);
             }
 
             // Same per-survivor representation decision as the scratch
@@ -657,11 +839,8 @@ fn fill_reusing(
             // Full-pattern scatter of one fresh survivor (newly above
             // the iceberg threshold this commit) into a zeroed window.
             let scatter_fresh = |l: usize, window: &mut [u64]| {
-                let target = l as u32;
-                for (k, &code) in plan.profiles.iter().enumerate() {
-                    if pass.local[layout.cell_of(code)] != target {
-                        continue;
-                    }
+                for &k in members_of(l) {
+                    let k = k as usize;
                     for j in plan.word_offsets[k] as usize..plan.word_offsets[k + 1] as usize {
                         window[plan.word_idx[j] as usize] |= plan.word_bits[j];
                     }

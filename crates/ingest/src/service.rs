@@ -47,7 +47,7 @@ pub struct CommitReceipt {
 }
 
 /// A cube kept incrementally up to date across commits: the retained
-/// counting-pass state plus the materialized cube, both in commit-major
+/// profile-scan state plus the materialized cube, both in commit-major
 /// universe order.
 struct WatchedCube {
     query: ItemQuery,

@@ -26,7 +26,7 @@
 
 use maprat_core::pool;
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -141,6 +141,7 @@ impl Response {
             404 => "Not Found",
             405 => "Method Not Allowed",
             408 => "Request Timeout",
+            431 => "Request Header Fields Too Large",
             503 => "Service Unavailable",
             504 => "Gateway Timeout",
             _ => "Internal Server Error",
@@ -230,6 +231,12 @@ pub fn parse_query(query: &str) -> HashMap<String, String> {
 /// are tiny; anything bigger is abuse).
 pub const MAX_BODY_BYTES: usize = 1 << 20;
 
+/// Largest accepted request head (request line plus headers, line
+/// endings included). The read timeout applies per read, so without a
+/// byte cap a client trickling one endless line would make a pool
+/// worker buffer it without limit; the cap also bounds the header count.
+pub const MAX_HEAD_BYTES: usize = 16 * 1024;
+
 /// How long the server waits for a declared `Content-Length` body once
 /// the head has fully arrived. Deliberately much shorter than the head
 /// read timeout: a client that sent its headers but dribbles (or
@@ -246,6 +253,8 @@ pub enum ParseError {
     Read(String),
     /// Syntactically invalid request → 400.
     Malformed(String),
+    /// The head ran past [`MAX_HEAD_BYTES`] → 431.
+    HeadTooLarge,
     /// The declared `Content-Length` body stopped arriving before the
     /// body read timeout → 408: the request was well-formed, the client
     /// was just too slow to finish it.
@@ -260,6 +269,9 @@ impl std::fmt::Display for ParseError {
         match self {
             ParseError::Read(e) => write!(f, "read error: {e}"),
             ParseError::Malformed(e) => f.write_str(e),
+            ParseError::HeadTooLarge => {
+                write!(f, "request head exceeds {MAX_HEAD_BYTES} bytes")
+            }
             ParseError::BodyTimeout(e) => write!(f, "body read timed out: {e}"),
             ParseError::ShortBody(e) => write!(f, "short body: {e}"),
         }
@@ -283,14 +295,36 @@ impl RequestHead {
     }
 }
 
-/// Parses the head (request line + headers) of an HTTP/1.1 request.
-/// `Ok(None)` is a clean end-of-stream: the client closed an idle
-/// (keep-alive) connection between requests.
-pub fn parse_head(reader: &mut impl BufRead) -> Result<Option<RequestHead>, ParseError> {
-    let mut line = String::new();
+/// Reads one head line into `line`, charging its bytes to `budget`, the
+/// head's remaining allowance. Running out of budget before the line
+/// (or the head) ends is [`ParseError::HeadTooLarge`].
+fn read_head_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    budget: &mut usize,
+) -> Result<usize, ParseError> {
+    if *budget == 0 {
+        return Err(ParseError::HeadTooLarge);
+    }
     let n = reader
-        .read_line(&mut line)
+        .by_ref()
+        .take(*budget as u64)
+        .read_line(line)
         .map_err(|e| ParseError::Read(e.to_string()))?;
+    *budget -= n;
+    if *budget == 0 && !line.ends_with('\n') {
+        return Err(ParseError::HeadTooLarge);
+    }
+    Ok(n)
+}
+
+/// Parses the head (request line + headers) of an HTTP/1.1 request, at
+/// most [`MAX_HEAD_BYTES`] of it. `Ok(None)` is a clean end-of-stream:
+/// the client closed an idle (keep-alive) connection between requests.
+pub fn parse_head(reader: &mut impl BufRead) -> Result<Option<RequestHead>, ParseError> {
+    let mut budget = MAX_HEAD_BYTES;
+    let mut line = String::new();
+    let n = read_head_line(reader, &mut line, &mut budget)?;
     if n == 0 {
         return Ok(None);
     }
@@ -315,9 +349,7 @@ pub fn parse_head(reader: &mut impl BufRead) -> Result<Option<RequestHead>, Pars
     let mut headers = HashMap::new();
     loop {
         let mut hline = String::new();
-        reader
-            .read_line(&mut hline)
-            .map_err(|e| ParseError::Read(e.to_string()))?;
+        read_head_line(reader, &mut hline, &mut budget)?;
         let trimmed = hline.trim_end();
         if trimmed.is_empty() {
             break;
@@ -597,9 +629,11 @@ fn serve_connection(mut stream: TcpStream, handler: &Handler) {
                 // An idle-timeout between keep-alive requests is a normal
                 // close; anything else earns a structured error response:
                 // 408 for a client too slow to finish its declared body,
-                // 400 for malformed or truncated requests.
+                // 431 for an oversized head, 400 for malformed or
+                // truncated requests.
                 let response = match &e {
                     ParseError::BodyTimeout(_) => Some(Response::error(408, e.to_string())),
+                    ParseError::HeadTooLarge => Some(Response::error(431, e.to_string())),
                     ParseError::Malformed(_) | ParseError::ShortBody(_) => {
                         Some(Response::error(400, e.to_string()))
                     }
@@ -797,6 +831,46 @@ mod tests {
         stream.read_to_string(&mut buf).unwrap();
         assert!(buf.starts_with("HTTP/1.1 200"), "{buf}");
         assert!(buf.contains("helloworld"), "{buf}");
+    }
+
+    #[test]
+    fn oversized_head_is_431_and_the_server_keeps_serving() {
+        let server = echo_server();
+        let mut stream = TcpStream::connect(("127.0.0.1", server.port())).unwrap();
+        // One header line longer than the whole head allowance, sent in
+        // full: the server must stop reading at the cap, not buffer it.
+        let big = "a".repeat(MAX_HEAD_BYTES + 4096);
+        write!(stream, "GET /x HTTP/1.1\r\nHost: l\r\nX-Big: {big}\r\n\r\n").unwrap();
+        let mut reader = BufReader::new(stream);
+        let (status, headers, body) = read_framed(&mut reader);
+        assert_eq!(status, 431, "{body}");
+        assert_eq!(headers.get("connection").map(String::as_str), Some("close"));
+        assert!(body.contains("request head exceeds"), "{body}");
+
+        // A normal request on a fresh connection is served.
+        let (status, body) = get(server.port(), "/after?q=ok");
+        assert_eq!(status, 200, "{body}");
+        assert!(body.contains("\"q\":\"ok\""), "{body}");
+    }
+
+    #[test]
+    fn head_at_the_cap_is_accepted() {
+        use std::io::Cursor;
+        let prefix = "GET /x HTTP/1.1\r\nX-Pad: ";
+        let suffix = "\r\n\r\n";
+        let pad = "p".repeat(MAX_HEAD_BYTES - prefix.len() - suffix.len());
+        let exact = format!("{prefix}{pad}{suffix}");
+        assert_eq!(exact.len(), MAX_HEAD_BYTES);
+        let head = parse_head(&mut Cursor::new(exact.as_bytes()))
+            .unwrap()
+            .unwrap();
+        assert_eq!(head.headers.get("x-pad").map(String::len), Some(pad.len()));
+
+        let over = format!("{prefix}{pad}p{suffix}");
+        assert!(matches!(
+            parse_head(&mut Cursor::new(over.as_bytes())),
+            Err(ParseError::HeadTooLarge)
+        ));
     }
 
     #[test]
